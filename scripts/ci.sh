@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point. Ten legs, runnable together (one sequential local run)
+# CI entry point. Eleven legs, runnable together (one sequential local run)
 # or individually (`scripts/ci.sh leg <n> [<n>...]`) so the GitHub Actions
 # matrix can fan them out across parallel jobs sharing one ccache:
 #   0. Runtime-seam check: the protocol stack (src/carousel, src/raft,
@@ -48,6 +48,11 @@
 #      checker. A violating schedule lands in build/explore-reports as a
 #      replayable JSON trace; replay with
 #        ./build/tools/carousel_explore --replay=<trace>
+#  10. Benchmark smoke leg: perfbench/selftest.py builds the repository's
+#      benchmark (perfbench/, declared in BENCHMARK.json; its own tree in
+#      .bench_build/) and smoke-runs every workload, untraced and traced.
+#      perfbench/micro.cc builds messages field by field, so a message
+#      struct change that breaks it fails here.
 #
 # Usage: scripts/ci.sh [jobs]           run all legs sequentially
 #        scripts/ci.sh leg <n> [<n>...] run the named legs only
@@ -228,7 +233,12 @@ leg9() {
       --report-dir=build/explore-reports
 }
 
-ALL_LEGS=(0 1 2 3 4 5 6 7 8 9)
+leg10() {
+  echo "== leg 10: benchmark build + smoke run =="
+  python3 perfbench/selftest.py
+}
+
+ALL_LEGS=(0 1 2 3 4 5 6 7 8 9 10)
 
 if [[ "${1:-}" == "leg" ]]; then
   shift

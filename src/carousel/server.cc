@@ -7,31 +7,6 @@
 
 namespace carousel::core {
 
-// Wire-size helpers shared by the message structs (declared in messages.h).
-size_t SizeOfKeys(const KeyList& keys) {
-  size_t sz = 4;
-  for (const Key& k : keys) sz += k.size() + 4;
-  return sz;
-}
-
-size_t SizeOfWrites(const WriteSet& writes) {
-  size_t sz = 4;
-  for (const auto& [k, v] : writes) sz += k.size() + v.size() + 8;
-  return sz;
-}
-
-size_t SizeOfVersions(const ReadVersionMap& versions) {
-  size_t sz = 4;
-  for (const auto& [k, v] : versions) sz += k.size() + 12;
-  return sz;
-}
-
-size_t SizeOfReads(const std::map<Key, VersionedValue>& reads) {
-  size_t sz = 4;
-  for (const auto& [k, vv] : reads) sz += k.size() + vv.value.size() + 12;
-  return sz;
-}
-
 CarouselServer::CarouselServer(const NodeInfo& info, const Directory* directory,
                                runtime::NodeEnv env,
                                const CarouselOptions& options,

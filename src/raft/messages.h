@@ -14,50 +14,85 @@ namespace carousel::raft {
 struct LogEntry {
   uint64_t term = 0;
   sim::MessagePtr payload;
+
+  /// On the wire: the term, then the payload as [u32 type][u32 len][bytes]
+  /// (type 0: no payload).
+  template <class V>
+  void Fields(V& v) {
+    v(term);
+    v.Nested(payload, /*nullable=*/true);
+  }
 };
 
 /// No-op entry a new leader appends to commit entries from prior terms
 /// (Raft §5.4.2 commit rule) and to detect when its log is fully
 /// replicated.
-struct NoopPayload final : sim::Message {
-  int type() const override { return sim::kLogNoop; }
-  size_t SizeBytes() const override { return 8; }
+struct NoopPayload final : sim::Schema<NoopPayload, sim::kLogNoop> {
+  template <class V>
+  void Fields(V& v) {
+    v.Pad(8);
+  }
 };
 
-/// Approximate wire size of a pending-transaction list entry, for vote
-/// message accounting.
-size_t PendingTxnWireSize(const kv::PendingTxn& txn);
-
-struct RequestVoteMsg final : sim::Message {
+struct RequestVoteMsg final
+    : sim::Schema<RequestVoteMsg, sim::kRaftRequestVote> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   NodeId candidate = kInvalidNode;
   uint64_t last_log_index = 0;
   uint64_t last_log_term = 0;
 
-  int type() const override { return sim::kRaftRequestVote; }
-  size_t SizeBytes() const override { return 40; }
+  template <class V>
+  void Fields(V& v) {
+    v(group, term, candidate, last_log_index, last_log_term);
+    v.Pad(40);
+  }
 };
 
 /// Vote response. Carousel extension (paper §4.3.3 step 1): when the vote
 /// is granted, the voter piggybacks its pending-transaction list so the
 /// new leader can reconstruct fast-path prepare decisions.
-struct VoteResponseMsg final : sim::Message {
+struct VoteResponseMsg final
+    : sim::Schema<VoteResponseMsg, sim::kRaftVoteResponse> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   bool granted = false;
   NodeId voter = kInvalidNode;
   std::vector<kv::PendingTxn> pending_list;
 
-  int type() const override { return sim::kRaftVoteResponse; }
-  size_t SizeBytes() const override {
-    size_t sz = 24;
-    for (const auto& txn : pending_list) sz += PendingTxnWireSize(txn);
-    return sz;
+  template <class V>
+  void Fields(V& v) {
+    uint32_t n = static_cast<uint32_t>(pending_list.size());
+    v(group, term, voter, granted, n);
+    v.Pad(24);
+    v.Items(n, pending_list, PendingFields<V>);
+  }
+
+  /// One piggybacked pending entry: tid, coordinator, a 32-bit term, u16
+  /// read and write key counts, both key lists, then one version per read
+  /// *key* in read_keys order (not per read_versions entry: the map
+  /// dedupes repeated keys). No timestamp: unlike the WAL's prepare pin
+  /// (kv::EncodePendingTxn), a vote never restores prepared_at_micros.
+  template <class V>
+  static void PendingFields(V& v, kv::PendingTxn& txn) {
+    uint32_t term32 = static_cast<uint32_t>(txn.term);
+    uint16_t reads = static_cast<uint16_t>(txn.read_keys.size());
+    uint16_t writes = static_cast<uint16_t>(txn.write_keys.size());
+    v(txn.tid, txn.coordinator, term32, reads, writes);
+    v.Items(reads, txn.read_keys);
+    v.Items(writes, txn.write_keys);
+    for (const Key& k : txn.read_keys) {
+      auto it = txn.read_versions.find(k);
+      Version version = it == txn.read_versions.end() ? 0 : it->second;
+      v(version);
+      if constexpr (V::kDecoding) txn.read_versions[k] = version;
+    }
+    if constexpr (V::kDecoding) txn.term = term32;
   }
 };
 
-struct AppendEntriesMsg final : sim::Message {
+struct AppendEntriesMsg final
+    : sim::Schema<AppendEntriesMsg, sim::kRaftAppendEntries> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   NodeId leader = kInvalidNode;
@@ -66,15 +101,12 @@ struct AppendEntriesMsg final : sim::Message {
   uint64_t leader_commit = 0;
   std::vector<LogEntry> entries;
 
-  int type() const override { return sim::kRaftAppendEntries; }
-  size_t SizeBytes() const override {
-    size_t sz = 48;
-    for (const auto& e : entries) {
-      // WireSize: payloads are shared with the log and re-measured on
-      // every retransmission; never re-walk their key lists.
-      sz += 16 + (e.payload ? e.payload->WireSize() : 0);
-    }
-    return sz;
+  template <class V>
+  void Fields(V& v) {
+    uint32_t n = static_cast<uint32_t>(entries.size());
+    v(group, term, leader, prev_log_index, prev_log_term, leader_commit, n);
+    v.Pad(48);
+    v.Items(n, entries);
   }
   /// WANRT accounting: an append is attributed to every transaction whose
   /// log payload it carries, so replication legs count toward those
@@ -86,7 +118,8 @@ struct AppendEntriesMsg final : sim::Message {
   }
 };
 
-struct AppendResponseMsg final : sim::Message {
+struct AppendResponseMsg final
+    : sim::Schema<AppendResponseMsg, sim::kRaftAppendResponse> {
   PartitionId group = kInvalidPartition;
   uint64_t term = 0;
   bool success = false;
@@ -100,8 +133,12 @@ struct AppendResponseMsg final : sim::Message {
   /// to the transactions it makes durable.
   std::vector<sim::WanSpan> wan_spans;
 
-  int type() const override { return sim::kRaftAppendResponse; }
-  size_t SizeBytes() const override { return 32; }
+  /// wan_spans is accounting metadata: zero wire bytes, not serialized.
+  template <class V>
+  void Fields(V& v) {
+    v(group, term, follower, success, match_index);
+    v.Pad(32);
+  }
   void CollectSpans(std::vector<sim::WanSpan>* out) const override {
     out->insert(out->end(), wan_spans.begin(), wan_spans.end());
   }

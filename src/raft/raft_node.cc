@@ -8,16 +8,6 @@
 
 namespace carousel::raft {
 
-size_t PendingTxnWireSize(const kv::PendingTxn& txn) {
-  size_t sz = 24;  // tid + term
-  // The wire codec writes one version word per read *key* (not per
-  // read_versions entry — the map dedupes duplicate keys), so charge
-  // 4 (length) + key + 8 (version) per read key to match it.
-  for (const auto& k : txn.read_keys) sz += k.size() + 12;
-  for (const auto& k : txn.write_keys) sz += k.size() + 4;
-  return sz;
-}
-
 RaftNode::RaftNode(PartitionId group, NodeId self, std::vector<NodeId> members,
                    runtime::Clock* clock, runtime::TimerQueue* timers,
                    carousel::Rng rng, RaftOptions options,

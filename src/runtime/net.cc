@@ -17,21 +17,11 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
+
 namespace carousel::runtime {
 
 namespace {
-
-void PutU32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
 
 constexpr size_t kFrameHeaderBytes = 12;
 constexpr size_t kMaxIov = 64;
@@ -373,15 +363,10 @@ bool NodeNet::Send(NodeId to, const Message& msg) {
   if (!running_.load(std::memory_order_acquire)) return false;
   std::vector<uint8_t> frame = GetBuffer();
   frame.resize(kFrameHeaderBytes);
-  if (codec_.encode_append) {
-    codec_.encode_append(msg, &frame);
-  } else {
-    const std::vector<uint8_t> payload = codec_.encode(msg);
-    frame.insert(frame.end(), payload.begin(), payload.end());
-  }
-  PutU32(frame.data(), static_cast<uint32_t>(frame.size() - 4));
-  PutU32(frame.data() + 4, static_cast<uint32_t>(msg.type()));
-  PutU32(frame.data() + 8, static_cast<uint32_t>(id_));
+  codec_.encode(msg, &frame);
+  StoreU32(frame.data(), static_cast<uint32_t>(frame.size() - 4));
+  StoreU32(frame.data() + 4, static_cast<uint32_t>(msg.type()));
+  StoreU32(frame.data() + 8, static_cast<uint32_t>(id_));
   {
     std::lock_guard<std::mutex> lk(egress_mu_);
     OutConn& c = out_.at(to);
@@ -671,7 +656,8 @@ void NodeNet::OnReadable(size_t slot) {
     uint64_t received = 0;
     while (c.len - c.pos >= kFrameHeaderBytes) {
       const uint8_t* p = c.buf.data() + c.pos;
-      const uint32_t len = GetU32(p);
+      ByteReader header(p, kFrameHeaderBytes);
+      const uint32_t len = header.U32();
       if (len < 8 || len > options_.max_frame_bytes) {
         if (received > 0) {
           stats_.frames_received.fetch_add(received, std::memory_order_relaxed);
@@ -680,8 +666,8 @@ void NodeNet::OnReadable(size_t slot) {
         return;
       }
       if (c.len - c.pos < 4 + static_cast<size_t>(len)) break;
-      const uint32_t type = GetU32(p + 4);
-      const NodeId from = static_cast<NodeId>(GetU32(p + 8));
+      const uint32_t type = header.U32();
+      const NodeId from = static_cast<NodeId>(header.U32());
       MessagePtr msg = codec_.decode(static_cast<int>(type), p + 12, len - 8);
       if (msg == nullptr || static_cast<size_t>(from) >= out_.size()) {
         stats_.drops_decode_fail.fetch_add(1, std::memory_order_relaxed);

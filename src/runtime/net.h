@@ -19,13 +19,10 @@ namespace carousel::runtime {
 /// library doesn't depend on the wire codec (which depends on every
 /// protocol library). wire::Codec() produces one.
 struct WireCodec {
-  /// Serializes the message payload (excluding framing).
-  std::function<std::vector<uint8_t>(const Message&)> encode;
-  /// Appends the payload to `out` instead of allocating a fresh vector;
-  /// the transport prefers this hook so pooled frame buffers are reused
-  /// across messages. Optional — when unset the transport falls back to
-  /// `encode` plus a copy.
-  std::function<void(const Message&, std::vector<uint8_t>*)> encode_append;
+  /// Appends the message payload (excluding framing) to `out`, so the
+  /// transport's pooled frame buffers and the WAL's record bodies take it
+  /// without an intermediate copy.
+  std::function<void(const Message&, std::vector<uint8_t>* out)> encode;
   /// Reconstructs a message of `type` from payload bytes; returns nullptr
   /// on malformed input (the frame is dropped).
   std::function<MessagePtr(int type, const uint8_t* data, size_t len)> decode;

@@ -7,8 +7,11 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "common/bytes.h"
 
 namespace carousel::runtime {
 namespace {
@@ -41,81 +44,52 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
   return crc ^ 0xffffffffu;
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+/// A storage error stops the node: carrying on would let it acknowledge
+/// votes, log entries and prepare pins it never persisted.
+[[noreturn]] void DieOnStorageError(const char* op, const std::string& path) {
+  const int err = errno;
+  std::fprintf(stderr, "WalStorage: %s %s failed: %s\n", op, path.c_str(),
+               std::strerror(err));
+  std::abort();
 }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+int OpenOrDie(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags, 0644);
+  if (fd < 0) DieOnStorageError("open", path);
+  return fd;
 }
 
-void PutBytes(std::vector<uint8_t>* out, const uint8_t* data, size_t len) {
-  out->insert(out->end(), data, data + len);
-}
-
-/// Bounds-checked little-endian reader; underflow latches !ok().
-struct ByteReader {
-  const uint8_t* data;
-  size_t len;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Take(size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    pos += n;
-    return true;
-  }
-  uint8_t U8() { return Take(1) ? data[pos - 1] : 0; }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data[pos - 4 + i]) << (8 * i);
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data[pos - 8 + i]) << (8 * i);
-    return v;
-  }
-  std::string Str(size_t n) {
-    if (!Take(n)) return {};
-    return std::string(reinterpret_cast<const char*>(data + pos - n), n);
-  }
-  std::vector<uint8_t> Bytes(size_t n) {
-    if (!Take(n)) return {};
-    return std::vector<uint8_t>(data + pos - n, data + pos);
-  }
-  size_t remaining() const { return len - pos; }
-};
-
-bool WriteAll(int fd, const uint8_t* data, size_t len) {
+void WriteAllOrDie(int fd, const uint8_t* data, size_t len,
+                   const std::string& path) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return false;
+      DieOnStorageError("write", path);
     }
     data += static_cast<size_t>(n);
     len -= static_cast<size_t>(n);
   }
-  return true;
 }
 
+void FsyncOrDie(int fd, const std::string& path) {
+  if (::fsync(fd) != 0) DieOnStorageError("fsync", path);
+}
+
+/// Reads all of `path`; false only when it does not exist.
 bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return false;
+  if (fd < 0) {
+    if (errno == ENOENT) return false;
+    DieOnStorageError("open", path);
+  }
   out->clear();
   uint8_t buf[1 << 16];
   for (;;) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      return false;
+      DieOnStorageError("read", path);
     }
     if (n == 0) break;
     out->insert(out->end(), buf, buf + n);
@@ -135,55 +109,57 @@ void MkDirs(const std::string& path) {
 }
 
 void FsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  const int fd = OpenOrDie(dir, O_RDONLY | O_DIRECTORY);
+  FsyncOrDie(fd, dir);
+  ::close(fd);
+}
+
+/// A WAL record under construction: room for the header AppendRecord
+/// fills in, then the body, which starts with the record kind.
+std::vector<uint8_t> NewRecord(uint8_t kind) {
+  return {0, 0, 0, 0, 0, 0, 0, 0, kind};
 }
 
 }  // namespace
 
 WalStorage::WalStorage(std::string dir, WireCodec codec,
                        WalStorageOptions options)
-    : dir_(std::move(dir)), codec_(std::move(codec)), options_(options) {
+    : dir_(std::move(dir)),
+      wal_path_(dir_ + "/wal.log"),
+      codec_(std::move(codec)),
+      options_(options) {
   MkDirs(dir_);
   LoadFromDisk();
-  wal_fd_ = ::open((dir_ + "/wal.log").c_str(),
-                   O_WRONLY | O_CREAT | O_APPEND, 0644);
+  wal_fd_ = OpenOrDie(wal_path_, O_WRONLY | O_CREAT | O_APPEND);
 }
 
-WalStorage::~WalStorage() {
-  if (wal_fd_ >= 0) ::close(wal_fd_);
-}
+WalStorage::~WalStorage() { ::close(wal_fd_); }
 
-void WalStorage::AppendRecord(const std::vector<uint8_t>& body) {
-  std::vector<uint8_t> rec;
-  rec.reserve(8 + body.size());
-  PutU32(&rec, static_cast<uint32_t>(body.size()));
-  PutU32(&rec, Crc32(body.data(), body.size()));
-  PutBytes(&rec, body.data(), body.size());
-  if (wal_fd_ >= 0 && WriteAll(wal_fd_, rec.data(), rec.size())) {
-    wal_bytes_ += rec.size();
-    if (options_.fsync) ::fsync(wal_fd_);
-  }
+void WalStorage::AppendRecord(std::vector<uint8_t>& rec) {
+  const size_t body_len = rec.size() - 8;
+  StoreU32(rec.data(), static_cast<uint32_t>(body_len));
+  StoreU32(rec.data() + 4, Crc32(rec.data() + 8, body_len));
+  WriteAllOrDie(wal_fd_, rec.data(), rec.size(), wal_path_);
+  wal_bytes_ += rec.size();
+  if (options_.fsync) FsyncOrDie(wal_fd_, wal_path_);
   MaybeAutoCompact();
 }
 
 void WalStorage::PersistHardState(uint64_t term, NodeId voted_for) {
   state_.term = term;
   state_.voted_for = voted_for;
-  std::vector<uint8_t> body{kRecHardState};
-  PutU64(&body, term);
-  PutU32(&body, static_cast<uint32_t>(voted_for));
-  AppendRecord(body);
+  std::vector<uint8_t> rec = NewRecord(kRecHardState);
+  ByteWriter w(&rec);
+  w.U64(term);
+  w.U32(static_cast<uint32_t>(voted_for));
+  AppendRecord(rec);
 }
 
 void WalStorage::PersistCommitIndex(uint64_t commit_index) {
   state_.commit_index = commit_index;
-  std::vector<uint8_t> body{kRecCommitIndex};
-  PutU64(&body, commit_index);
-  AppendRecord(body);
+  std::vector<uint8_t> rec = NewRecord(kRecCommitIndex);
+  ByteWriter(&rec).U64(commit_index);
+  AppendRecord(rec);
 }
 
 void WalStorage::PersistLogEntry(uint64_t index, uint64_t term,
@@ -192,8 +168,12 @@ void WalStorage::PersistLogEntry(uint64_t index, uint64_t term,
   entry.term = term;
   entry.payload = payload;
   entry.payload_type = payload == nullptr ? -1 : payload->type();
-  std::vector<uint8_t> encoded;
-  if (payload != nullptr && codec_.encode) encoded = codec_.encode(*payload);
+  std::vector<uint8_t> rec = NewRecord(kRecLogEntry);
+  ByteWriter w(&rec);
+  w.U64(index);
+  w.U64(term);
+  w.U32(static_cast<uint32_t>(entry.payload_type));
+  if (payload != nullptr) codec_.encode(*payload, &rec);
   // Implicit suffix truncation: appending at `index` invalidates anything
   // previously persisted at or beyond it, exactly like the in-memory
   // log_.resize() in Raft's conflict handling.
@@ -206,32 +186,27 @@ void WalStorage::PersistLogEntry(uint64_t index, uint64_t term,
   if (state_.commit_index > state_.log.size()) {
     state_.commit_index = state_.log.size();
   }
-
-  std::vector<uint8_t> body{kRecLogEntry};
-  PutU64(&body, index);
-  PutU64(&body, term);
-  PutU32(&body, static_cast<uint32_t>(
-                    payload == nullptr ? -1 : payload->type()));
-  PutBytes(&body, encoded.data(), encoded.size());
-  AppendRecord(body);
+  AppendRecord(rec);
 }
 
 void WalStorage::PersistPendingAdd(const std::string& key,
                                    std::vector<uint8_t> blob) {
-  std::vector<uint8_t> body{kRecPendingAdd};
-  PutU32(&body, static_cast<uint32_t>(key.size()));
-  PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  PutBytes(&body, blob.data(), blob.size());
+  std::vector<uint8_t> rec = NewRecord(kRecPendingAdd);
+  ByteWriter w(&rec);
+  w.U32(static_cast<uint32_t>(key.size()));
+  w.Bytes(key);
+  w.Bytes(blob.data(), blob.size());
   state_.pending[key] = std::move(blob);
-  AppendRecord(body);
+  AppendRecord(rec);
 }
 
 void WalStorage::PersistPendingErase(const std::string& key) {
   if (state_.pending.erase(key) == 0) return;  // Nothing durable to undo.
-  std::vector<uint8_t> body{kRecPendingErase};
-  PutU32(&body, static_cast<uint32_t>(key.size()));
-  PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  AppendRecord(body);
+  std::vector<uint8_t> rec = NewRecord(kRecPendingErase);
+  ByteWriter w(&rec);
+  w.U32(static_cast<uint32_t>(key.size()));
+  w.Bytes(key);
+  AppendRecord(rec);
 }
 
 bool WalStorage::Load(DurableNodeState* out) {
@@ -252,44 +227,40 @@ void WalStorage::LoadFromDisk() {
 bool WalStorage::LoadSnapshot() {
   std::vector<uint8_t> bytes;
   if (!ReadFileBytes(dir_ + "/snapshot.bin", &bytes)) return false;
-  ByteReader header{bytes.data(), bytes.size()};
+  ByteReader header(bytes.data(), bytes.size());
   if (header.U32() != kSnapshotMagic || header.U32() != kSnapshotVersion) {
     return false;
   }
   const uint32_t body_len = header.U32();
   const uint32_t crc = header.U32();
-  if (!header.ok || header.remaining() < body_len) return false;
-  const uint8_t* body = bytes.data() + header.pos;
-  if (Crc32(body, body_len) != crc) return false;
+  const uint8_t* body = header.Take(body_len);
+  if (body == nullptr || Crc32(body, body_len) != crc) return false;
 
-  ByteReader r{body, body_len};
+  ByteReader r(body, body_len);
   state_.term = r.U64();
-  state_.voted_for = static_cast<NodeId>(static_cast<int32_t>(r.U32()));
+  state_.voted_for = static_cast<NodeId>(r.U32());
   state_.commit_index = r.U64();
   const uint64_t nlog = r.U64();
-  for (uint64_t i = 0; i < nlog && r.ok; ++i) {
+  for (uint64_t i = 0; i < nlog && r.ok(); ++i) {
     DurableNodeState::LogEntry entry;
     entry.term = r.U64();
     entry.payload_type = static_cast<int32_t>(r.U32());
     const uint32_t plen = r.U32();
-    const std::vector<uint8_t> payload = r.Bytes(plen);
-    if (!r.ok) break;
-    if (entry.payload_type >= 0 && codec_.decode) {
-      entry.payload =
-          codec_.decode(entry.payload_type, payload.data(), payload.size());
+    const uint8_t* payload = r.Take(plen);
+    if (!r.ok()) break;
+    if (entry.payload_type >= 0) {
+      entry.payload = codec_.decode(entry.payload_type, payload, plen);
     }
     state_.log.push_back(std::move(entry));
   }
   const uint64_t npending = r.U64();
-  for (uint64_t i = 0; i < npending && r.ok; ++i) {
-    const uint32_t klen = r.U32();
-    const std::string key = r.Str(klen);
-    const uint32_t blen = r.U32();
-    std::vector<uint8_t> blob = r.Bytes(blen);
-    if (!r.ok) break;
+  for (uint64_t i = 0; i < npending && r.ok(); ++i) {
+    const std::string key = r.Str(r.U32());
+    std::vector<uint8_t> blob = r.Bytes(r.U32());
+    if (!r.ok()) break;
     state_.pending[key] = std::move(blob);
   }
-  if (!r.ok) {
+  if (!r.ok()) {
     // A snapshot is written atomically (tmp + rename), so a parse failure
     // means external corruption; start over rather than trust half of it.
     state_ = DurableNodeState{};
@@ -299,23 +270,22 @@ bool WalStorage::LoadSnapshot() {
 }
 
 void WalStorage::ReplayWal() {
-  const std::string path = dir_ + "/wal.log";
   std::vector<uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) return;
+  if (!ReadFileBytes(wal_path_, &bytes)) return;
   size_t pos = 0;
   while (pos + 8 <= bytes.size()) {
-    ByteReader header{bytes.data() + pos, 8};
+    ByteReader header(bytes.data() + pos, 8);
     const uint32_t body_len = header.U32();
     const uint32_t crc = header.U32();
     if (pos + 8 + body_len > bytes.size() || body_len == 0) break;  // Torn.
     const uint8_t* body = bytes.data() + pos + 8;
     if (Crc32(body, body_len) != crc) break;  // Torn / corrupt tail.
 
-    ByteReader r{body, body_len};
+    ByteReader r(body, body_len);
     switch (r.U8()) {
       case kRecHardState: {
         state_.term = r.U64();
-        state_.voted_for = static_cast<NodeId>(static_cast<int32_t>(r.U32()));
+        state_.voted_for = static_cast<NodeId>(r.U32());
         break;
       }
       case kRecCommitIndex: {
@@ -327,11 +297,11 @@ void WalStorage::ReplayWal() {
         DurableNodeState::LogEntry entry;
         entry.term = r.U64();
         entry.payload_type = static_cast<int32_t>(r.U32());
-        std::vector<uint8_t> payload = r.Bytes(r.remaining());
-        if (!r.ok) break;
-        if (entry.payload_type >= 0 && codec_.decode) {
-          entry.payload = codec_.decode(entry.payload_type, payload.data(),
-                                        payload.size());
+        const size_t plen = r.remaining();
+        const uint8_t* payload = r.Take(plen);
+        if (!r.ok()) break;
+        if (entry.payload_type >= 0) {
+          entry.payload = codec_.decode(entry.payload_type, payload, plen);
         }
         if (index >= 1 && index <= state_.log.size()) {
           state_.log.resize(index - 1);
@@ -342,16 +312,14 @@ void WalStorage::ReplayWal() {
         break;
       }
       case kRecPendingAdd: {
-        const uint32_t klen = r.U32();
-        const std::string key = r.Str(klen);
+        const std::string key = r.Str(r.U32());
         std::vector<uint8_t> blob = r.Bytes(r.remaining());
-        if (r.ok) state_.pending[key] = std::move(blob);
+        if (r.ok()) state_.pending[key] = std::move(blob);
         break;
       }
       case kRecPendingErase: {
-        const uint32_t klen = r.U32();
-        const std::string key = r.Str(klen);
-        if (r.ok) state_.pending.erase(key);
+        const std::string key = r.Str(r.U32());
+        if (r.ok()) state_.pending.erase(key);
         break;
       }
       default:
@@ -364,55 +332,55 @@ void WalStorage::ReplayWal() {
     // Torn tail: drop the partial/corrupt suffix so the next append starts
     // on a clean record boundary.
     torn_records_++;
-    ::truncate(path.c_str(), static_cast<off_t>(pos));
+    if (::truncate(wal_path_.c_str(), static_cast<off_t>(pos)) != 0) {
+      DieOnStorageError("truncate", wal_path_);
+    }
   }
 }
 
 void WalStorage::Compact() {
-  std::vector<uint8_t> body;
-  PutU64(&body, state_.term);
-  PutU32(&body, static_cast<uint32_t>(state_.voted_for));
-  PutU64(&body, state_.commit_index);
-  PutU64(&body, state_.log.size());
+  // [u32 magic][u32 version][u32 body_len][u32 crc32(body)][body]
+  std::vector<uint8_t> file(16, 0);
+  ByteWriter w(&file);
+  w.U64(state_.term);
+  w.U32(static_cast<uint32_t>(state_.voted_for));
+  w.U64(state_.commit_index);
+  w.U64(state_.log.size());
   for (const DurableNodeState::LogEntry& entry : state_.log) {
-    PutU64(&body, entry.term);
-    PutU32(&body, static_cast<uint32_t>(entry.payload_type));
-    std::vector<uint8_t> encoded;
-    if (entry.payload != nullptr && codec_.encode) {
-      encoded = codec_.encode(*entry.payload);
-    }
-    PutU32(&body, static_cast<uint32_t>(encoded.size()));
-    PutBytes(&body, encoded.data(), encoded.size());
+    w.U64(entry.term);
+    w.U32(static_cast<uint32_t>(entry.payload_type));
+    const size_t len_at = file.size();
+    w.U32(0);
+    if (entry.payload != nullptr) codec_.encode(*entry.payload, &file);
+    StoreU32(file.data() + len_at,
+             static_cast<uint32_t>(file.size() - len_at - 4));
   }
-  PutU64(&body, state_.pending.size());
+  w.U64(state_.pending.size());
   for (const auto& [key, blob] : state_.pending) {
-    PutU32(&body, static_cast<uint32_t>(key.size()));
-    PutBytes(&body, reinterpret_cast<const uint8_t*>(key.data()), key.size());
-    PutU32(&body, static_cast<uint32_t>(blob.size()));
-    PutBytes(&body, blob.data(), blob.size());
+    w.U32(static_cast<uint32_t>(key.size()));
+    w.Bytes(key);
+    w.U32(static_cast<uint32_t>(blob.size()));
+    w.Bytes(blob.data(), blob.size());
   }
-
-  std::vector<uint8_t> file;
-  PutU32(&file, kSnapshotMagic);
-  PutU32(&file, kSnapshotVersion);
-  PutU32(&file, static_cast<uint32_t>(body.size()));
-  PutU32(&file, Crc32(body.data(), body.size()));
-  PutBytes(&file, body.data(), body.size());
+  const size_t body_len = file.size() - 16;
+  StoreU32(file.data(), kSnapshotMagic);
+  StoreU32(file.data() + 4, kSnapshotVersion);
+  StoreU32(file.data() + 8, static_cast<uint32_t>(body_len));
+  StoreU32(file.data() + 12, Crc32(file.data() + 16, body_len));
 
   const std::string tmp = dir_ + "/snapshot.tmp";
-  const std::string final_path = dir_ + "/snapshot.bin";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  const bool written = WriteAll(fd, file.data(), file.size());
-  if (options_.fsync) ::fsync(fd);
+  const int fd = OpenOrDie(tmp, O_WRONLY | O_CREAT | O_TRUNC);
+  WriteAllOrDie(fd, file.data(), file.size(), tmp);
+  if (options_.fsync) FsyncOrDie(fd, tmp);
   ::close(fd);
-  if (!written || ::rename(tmp.c_str(), final_path.c_str()) != 0) return;
+  if (::rename(tmp.c_str(), (dir_ + "/snapshot.bin").c_str()) != 0) {
+    DieOnStorageError("rename", tmp);
+  }
   if (options_.fsync) FsyncDir(dir_);
 
   // The snapshot now carries everything; restart the WAL from empty.
-  if (wal_fd_ >= 0) ::close(wal_fd_);
-  wal_fd_ = ::open((dir_ + "/wal.log").c_str(),
-                   O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+  ::close(wal_fd_);
+  wal_fd_ = OpenOrDie(wal_path_, O_WRONLY | O_CREAT | O_TRUNC | O_APPEND);
   wal_bytes_ = 0;
 }
 

@@ -93,7 +93,10 @@ struct WalStorageOptions {
 /// before it is recovered. Log payloads are serialized with the same
 /// injected wire codec the TCP transport uses, so the WAL speaks the
 /// protocol's canonical byte format and the runtime library stays
-/// independent of the codec implementation.
+/// independent of the codec implementation. Storage errors fail-stop: any
+/// failed open, read, write, fsync, rename or truncate aborts the process
+/// with the path and errno, since a node that carried on would acknowledge
+/// state it never persisted.
 class WalStorage final : public Storage {
  public:
   /// Creates `dir` (recursively) if missing and loads any existing state.
@@ -124,10 +127,12 @@ class WalStorage final : public Storage {
   void LoadFromDisk();
   bool LoadSnapshot();
   void ReplayWal();
-  void AppendRecord(const std::vector<uint8_t>& body);
+  /// Fills in `rec`'s header (see NewRecord in storage.cc) and appends it.
+  void AppendRecord(std::vector<uint8_t>& rec);
   void MaybeAutoCompact();
 
   std::string dir_;
+  std::string wal_path_;
   WireCodec codec_;
   WalStorageOptions options_;
   int wal_fd_ = -1;

@@ -138,9 +138,11 @@ struct ThreadedRuntimeOptions {
 
 /// Backend #2 of the runtime seam: one event-loop thread per node on a
 /// shared monotonic clock, with either in-process or localhost-TCP message
-/// transport. No fault injection, no cost model, no determinism — this is
-/// the "as fast as the hardware allows" deployment shape; the simulator
-/// remains the substrate for reproducible experiments.
+/// transport. Faults come from the real-time nemesis (runtime/nemesis_rt.h:
+/// kills with WAL restart, partitions, link faults); there is no cost
+/// model and no determinism — this is the "as fast as the hardware allows"
+/// deployment shape; the simulator remains the substrate for reproducible
+/// experiments.
 class ThreadedRuntime final : public Transport {
  public:
   /// Creates loops for nodes 0..num_nodes-1 (ids are dense, as in the

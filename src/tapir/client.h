@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "carousel/directory.h"
+#include "carousel/messages.h"
 #include "carousel/options.h"
 #include "common/status.h"
 #include "common/types.h"

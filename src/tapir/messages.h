@@ -3,7 +3,6 @@
 
 #include <map>
 
-#include "carousel/messages.h"  // byte-size helpers
 #include "common/types.h"
 #include "sim/message.h"
 
@@ -18,28 +17,38 @@ enum class Vote : int8_t {
 };
 
 /// Client -> one (closest) replica: read a batch of keys of one partition.
-struct TapirReadMsg final : sim::Message {
+struct TapirReadMsg final : sim::Schema<TapirReadMsg, sim::kTapirRead> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId client = kInvalidNode;
   KeyList keys;
 
-  int type() const override { return sim::kTapirRead; }
-  size_t SizeBytes() const override { return 32 + core::SizeOfKeys(keys); }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, client);
+    v.Pad(32);
+    v(keys);
+  }
 };
 
-struct TapirReadReplyMsg final : sim::Message {
+struct TapirReadReplyMsg final
+    : sim::Schema<TapirReadReplyMsg, sim::kTapirReadReply> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   std::map<Key, VersionedValue> reads;
 
-  int type() const override { return sim::kTapirReadReply; }
-  size_t SizeBytes() const override { return 24 + core::SizeOfReads(reads); }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition);
+    v.Pad(24);
+    v(reads);
+  }
 };
 
 /// Client -> every replica of a participant partition (IR consensus
 /// operation): validate and tentatively prepare the transaction.
-struct TapirPrepareMsg final : sim::Message {
+struct TapirPrepareMsg final
+    : sim::Schema<TapirPrepareMsg, sim::kTapirPrepare> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId client = kInvalidNode;
@@ -48,65 +57,84 @@ struct TapirPrepareMsg final : sim::Message {
   ReadVersionMap read_versions;
   WriteSet writes;
 
-  int type() const override { return sim::kTapirPrepare; }
-  size_t SizeBytes() const override {
-    return 40 + core::SizeOfVersions(read_versions) +
-           core::SizeOfWrites(writes);
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, client, timestamp);
+    v.Pad(40);
+    v(read_versions, writes);
   }
 };
 
-struct TapirPrepareReplyMsg final : sim::Message {
+struct TapirPrepareReplyMsg final
+    : sim::Schema<TapirPrepareReplyMsg, sim::kTapirPrepareReply> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
   Vote vote = Vote::kAbstain;
 
-  int type() const override { return sim::kTapirPrepareReply; }
-  size_t SizeBytes() const override { return 28; }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, replica, vote);
+    v.Pad(28);
+  }
 };
 
 /// Client -> every replica (IR slow path): make the chosen prepare result
 /// durable before acting on it.
-struct TapirFinalizeMsg final : sim::Message {
+struct TapirFinalizeMsg final
+    : sim::Schema<TapirFinalizeMsg, sim::kTapirFinalize> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   Vote vote = Vote::kAbstain;
 
-  int type() const override { return sim::kTapirFinalize; }
-  size_t SizeBytes() const override { return 28; }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, vote);
+    v.Pad(28);
+  }
 };
 
-struct TapirFinalizeReplyMsg final : sim::Message {
+struct TapirFinalizeReplyMsg final
+    : sim::Schema<TapirFinalizeReplyMsg, sim::kTapirFinalizeReply> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
 
-  int type() const override { return sim::kTapirFinalizeReply; }
-  size_t SizeBytes() const override { return 24; }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, replica);
+    v.Pad(24);
+  }
 };
 
 /// Client -> every replica: the commit/abort decision (inconsistent
 /// operation; applied on receipt).
-struct TapirDecideMsg final : sim::Message {
+struct TapirDecideMsg final : sim::Schema<TapirDecideMsg, sim::kTapirDecide> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   bool commit = false;
   uint64_t timestamp = 0;
   WriteSet writes;
 
-  int type() const override { return sim::kTapirDecide; }
-  size_t SizeBytes() const override {
-    return 32 + core::SizeOfWrites(writes);
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, timestamp, commit);
+    v.Pad(32);
+    v(writes);
   }
 };
 
-struct TapirDecideAckMsg final : sim::Message {
+struct TapirDecideAckMsg final
+    : sim::Schema<TapirDecideAckMsg, sim::kTapirDecideAck> {
   TxnId tid;
   PartitionId partition = kInvalidPartition;
   NodeId replica = kInvalidNode;
 
-  int type() const override { return sim::kTapirDecideAck; }
-  size_t SizeBytes() const override { return 24; }
+  template <class V>
+  void Fields(V& v) {
+    v(tid, partition, replica);
+    v.Pad(24);
+  }
 };
 
 }  // namespace carousel::tapir

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "carousel/options.h"
+#include "common/topology.h"
 #include "common/types.h"
 #include "kv/pending_list.h"
 #include "kv/versioned_store.h"

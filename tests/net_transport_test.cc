@@ -40,11 +40,7 @@ struct BlobMsg final : sim::Message {
 
 WireCodec BlobCodec() {
   WireCodec c;
-  c.encode = [](const Message& m) {
-    const auto& b = static_cast<const BlobMsg&>(m);
-    return std::vector<uint8_t>(b.data.begin(), b.data.end());
-  };
-  c.encode_append = [](const Message& m, std::vector<uint8_t>* out) {
+  c.encode = [](const Message& m, std::vector<uint8_t>* out) {
     const auto& b = static_cast<const BlobMsg&>(m);
     out->insert(out->end(), b.data.begin(), b.data.end());
   };

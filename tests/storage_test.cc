@@ -7,9 +7,15 @@
 #include "runtime/storage.h"
 
 #include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "carousel/messages.h"
+#include "golden_corpus.h"
 #include "kv/pending_list.h"
 #include "raft/messages.h"
 #include "wire/wire.h"
@@ -307,6 +314,84 @@ TEST(StorageTest, CommitIndexIsClampedToTheRecoveredLog) {
   ASSERT_TRUE(reopened.Load(&state));
   EXPECT_EQ(state.log.size(), 2u);
   EXPECT_LE(state.commit_index, 2u);
+}
+
+// The on-disk formats, pinned: the WAL and snapshot bytes a fixed
+// Persist*/Compact sequence leaves behind, before and after compaction.
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+std::map<std::string, std::string> StorageGoldenValues() {
+  const std::string dir = FreshDir("golden");
+  std::map<std::string, std::string> values;
+  auto record = [&](const std::string& name, const std::string& file) {
+    const std::vector<uint8_t> bytes = FileBytes(dir + "/" + file);
+    values[name] = GoldenValue(bytes.size(), bytes);
+  };
+  WalStorage storage(dir, wire::Codec(), NoFsync());
+  storage.PersistHardState(3, 7);
+  storage.PersistLogEntry(1, 2, NoopPayload());
+  storage.PersistLogEntry(2, 3, DecisionPayload(42, true));
+  storage.PersistLogEntry(3, 3, nullptr);
+  auto commit = std::make_shared<core::LogCommit>();
+  commit->tid = TxnId{4, 77};
+  commit->coordinator = 2;
+  commit->commit = true;
+  commit->writes = {{"alpha", "one"}, {"beta", ""}};
+  storage.PersistLogEntry(4, 3, commit);
+  storage.PersistCommitIndex(2);
+  storage.PersistPendingAdd("4.77", kv::EncodePendingTxn(SamplePin(77)));
+  storage.PersistPendingAdd("b", {4, 5});
+  storage.PersistPendingErase("b");
+  record("wal.log", "wal.log");
+  storage.Compact();
+  record("snapshot.bin", "snapshot.bin");
+  storage.PersistLogEntry(5, 4, DecisionPayload(43, false));
+  storage.PersistPendingErase("4.77");
+  record("wal.log.after_compact", "wal.log");
+  return values;
+}
+
+TEST(StorageGoldenTest, WalAndSnapshotBytesMatchTheRecordedCorpus) {
+  ExpectMatchesGoldenCorpus(
+      std::string(CAROUSEL_CORPUS_DIR) + "/storage_golden.txt",
+      StorageGoldenValues());
+}
+
+// Fail-stop: a storage error must stop the node, never let it go on
+// acknowledging state it did not persist.
+
+TEST(StorageDeathTest, UnopenableWalAborts) {
+  const std::string dir = FreshDir("wal-is-dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+  ASSERT_EQ(::mkdir((dir + "/wal.log").c_str(), 0755), 0);
+  EXPECT_DEATH(WalStorage(dir, wire::Codec(), NoFsync()),
+               "wal\\.log.*Is a directory");
+}
+
+/// Caps this process's file size: a write past it fails with EFBIG once
+/// SIGXFSZ, which would otherwise kill the process first, is ignored.
+void CapFileSize(rlim_t bytes) {
+  struct rlimit limit;
+  limit.rlim_cur = bytes;
+  limit.rlim_max = bytes;
+  ::setrlimit(RLIMIT_FSIZE, &limit);
+  std::signal(SIGXFSZ, SIG_IGN);
+}
+
+TEST(StorageDeathTest, FailedWalWriteAborts) {
+  const std::string dir = FreshDir("wal-fsize");
+  WalStorage storage(dir, wire::Codec(), NoFsync());
+  storage.PersistHardState(1, -1);
+  EXPECT_DEATH(
+      {
+        CapFileSize(4096);
+        storage.PersistPendingAdd("big", std::vector<uint8_t>(8192, 1));
+      },
+      "wal\\.log.*File too large");
 }
 
 }  // namespace

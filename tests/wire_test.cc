@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "carousel/messages.h"
+#include "golden_corpus.h"
 #include "raft/messages.h"
 #include "sim/message.h"
 #include "tapir/messages.h"
@@ -542,6 +545,58 @@ TEST(WireFuzzTest, RandomBytesNeverCrashTheDecoders) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden corpus: the byte format itself, recorded once and pinned. Every
+// sample above ("<type>.<sample>", with its SizeBytes) plus the
+// prepare-pin blob kv::EncodePendingTxn makes of SamplePendingTxn().
+
+std::map<std::string, std::string> WireGoldenValues() {
+  std::map<std::string, std::string> values;
+  for (int type : wire::RegisteredTypes()) {
+    const auto samples = Samples(type);
+    for (size_t i = 0; i < samples.size(); ++i) {
+      values[std::to_string(type) + "." + std::to_string(i)] =
+          test::GoldenValue(samples[i]->SizeBytes(), wire::Encode(*samples[i]));
+    }
+  }
+  const std::vector<uint8_t> pin = kv::EncodePendingTxn(SamplePendingTxn());
+  values["pending_txn"] = test::GoldenValue(pin.size(), pin);
+  return values;
+}
+
+TEST(WireGoldenTest, EncodingsMatchTheRecordedCorpus) {
+  test::ExpectMatchesGoldenCorpus(
+      std::string(CAROUSEL_CORPUS_DIR) + "/wire_golden.txt",
+      WireGoldenValues());
+}
+
+// Nested payloads: a type-0 slot means "no payload". A Raft log entry may
+// legitimately carry none; a batch item may not, because receivers
+// dereference every item.
+
+TEST(WireTest, BatchItemOfTypeZeroRejectsTheWholeEnvelope) {
+  // Item count 1 in the 8-byte header, then one item: type 0, length 0.
+  std::vector<uint8_t> bytes(16, 0);
+  bytes[0] = 1;
+  EXPECT_EQ(wire::Decode(sim::kBatchEnvelope, bytes.data(), bytes.size()),
+            nullptr);
+}
+
+TEST(WireTest, AppendEntryOfTypeZeroDecodesToANullPayload) {
+  // Entry count 1 at offset 40 of the 48-byte header, then one entry:
+  // term 5, payload type 0, length 0.
+  std::vector<uint8_t> bytes(48 + 16, 0);
+  bytes[40] = 1;
+  bytes[48] = 5;
+  const auto decoded =
+      wire::Decode(sim::kRaftAppendEntries, bytes.data(), bytes.size());
+  ASSERT_NE(decoded, nullptr);
+  const auto& m = sim::As<raft::AppendEntriesMsg>(*decoded);
+  ASSERT_EQ(m.entries.size(), 1u);
+  EXPECT_EQ(m.entries[0].term, 5u);
+  EXPECT_EQ(m.entries[0].payload, nullptr);
 }
 
 }  // namespace
