@@ -33,6 +33,9 @@
 #      certified by the serializability checker. A failing seed writes its
 #      report (and keeps its WAL dir) for the artifact upload; replay with
 #        ./build/tools/carousel_rt_chaos --seed=<N>
+#      Then, when taskset exists, the threaded ctest suite and a short
+#      sweep of further seeds pinned to one CPU (`taskset -c 0`): one
+#      worker thread for every node.
 #   8. RT transport leg: carousel_rt over real TCP sockets at smoke scale
 #      (3 DCs x 3 partitions x 3 replicas, 16 clients/DC), unbatched plus
 #      a pipelined batched run; writes BENCH_rt_tcp*.json and gates them
@@ -190,6 +193,18 @@ leg7() {
   mkdir -p build/rt-chaos-reports
   ./build/tools/carousel_rt_chaos --seeds="$RT_CHAOS_SEEDS" \
       --storage-root=build/rt-chaos-storage --report-dir=build/rt-chaos-reports
+  # The runtime sizes its worker pool from the affinity mask, so pinning to
+  # one CPU runs every node on one worker: every send is a same-worker
+  # send, as in a 1-CPU container.
+  if command -v taskset >/dev/null; then
+    echo "-- threaded suite and rt-chaos pinned to one CPU --"
+    taskset -c 0 ctest --test-dir build --output-on-failure -L threaded
+    taskset -c 0 ./build/tools/carousel_rt_chaos --seeds=4 \
+        --seed-base=$((RT_CHAOS_SEEDS + 1)) \
+        --storage-root=build/rt-chaos-storage --report-dir=build/rt-chaos-reports
+  else
+    echo "one-CPU pass skipped (no taskset on PATH)"
+  fi
 }
 
 leg8() {

@@ -29,7 +29,7 @@ struct Scoreboard {
   std::atomic<bool> window_over{false};
 };
 
-/// One closed-loop driver pinned to a client's loop thread. Keeps issuing
+/// One closed-loop driver pinned to a client's event loop. Keeps issuing
 /// transactions until the invocation target is met AND the fault window
 /// has closed — load must overlap every scheduled fault, not finish
 /// before the first one fires.

@@ -66,7 +66,7 @@ struct TxnRecord {
 /// TraceCollector is wired.
 ///
 /// Recording is internally synchronized so the threaded runtime's clients
-/// and servers can stamp events concurrently from their loop threads. The
+/// and servers can stamp events concurrently from their worker threads. The
 /// read accessors are not: call them only after the run has quiesced
 /// (simulator runs are single-threaded throughout, so they always may).
 class HistoryRecorder {

@@ -95,11 +95,11 @@ bool RtCluster::KillServer(NodeId id) {
   if (rt_options_.storage_dir.empty()) return false;
   auto it = servers_.find(id);
   if (it == servers_.end() || dead_.count(id) > 0) return false;
-  // Joining the loop thread is the kill: whatever the node was doing at
-  // this instant simply never finishes, and only what reached the WAL
-  // before this moment survives. TCP sockets stay open — frames arriving
-  // for the dead node drain into the drop counter, and the listener keeps
-  // its port for the restart.
+  // Stopping the node is the kill: whatever it still had queued at this
+  // instant never runs, and only what reached the WAL before this moment
+  // survives. TCP sockets stay open — frames arriving for the dead node
+  // drain into the drop counter, and the listener keeps its port for the
+  // restart.
   rt_->StopNode(id);
   servers_.erase(it);      // Volatile state dies with the object.
   storage_.erase(id);      // Closes the WAL fd; files stay for recovery.
@@ -156,7 +156,7 @@ size_t RtCluster::recovered_pending() const {
 }
 
 bool RtCluster::WaitUntilServing(int timeout_ms) {
-  // Probe serving() on each server's own loop thread; the probe state is
+  // Probe serving() on each server's own event loop; the probe state is
   // shared_ptr-owned so a timed-out waiter can leave while late probes
   // still complete.
   const auto deadline = std::chrono::steady_clock::now() +

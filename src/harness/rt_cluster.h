@@ -41,14 +41,15 @@ struct RtClusterOptions {
   bool wal_fsync = false;
 };
 
-/// A complete Carousel deployment on the threaded runtime: one event-loop
-/// thread per node (servers and clients) on a shared monotonic clock —
+/// A complete Carousel deployment on the threaded runtime: an event loop
+/// per node (servers and clients), run by a pool of one worker thread per
+/// CPU in the affinity mask, on a shared monotonic clock —
 /// backend #2 of the runtime seam. Same protocol objects as core::Cluster,
 /// different substrate: real threads and (optionally) real sockets instead
 /// of the discrete-event simulator.
 ///
 /// Threading rules for callers: every client API call (Begin /
-/// ReadAndPrepare / Commit / ...) must run on that client's loop thread —
+/// ReadAndPrepare / Commit / ...) must run on that client's event loop —
 /// use RunOnClient. Server state may only be inspected through
 /// RunOnServer for the same reason.
 class RtCluster {
@@ -61,13 +62,13 @@ class RtCluster {
   RtCluster(const RtCluster&) = delete;
   RtCluster& operator=(const RtCluster&) = delete;
 
-  /// Launches all loop threads (and sockets in TCP mode), starts every
+  /// Launches the worker threads (and sockets in TCP mode), starts every
   /// server, and waits until every partition serves. Returns false if the
   /// transport could not start (e.g. sockets unavailable) or the cluster
   /// failed to become ready within `timeout_ms`.
   bool Start(int timeout_ms = 10000);
 
-  /// Stops all loop and socket threads. Idempotent; the destructor calls
+  /// Stops all worker and socket threads. Idempotent; the destructor calls
   /// it too.
   void Stop();
 
@@ -79,7 +80,7 @@ class RtCluster {
 
   /// The server actor for node `id` (nullptr for client nodes and killed
   /// servers). While the cluster runs, touch its state only through
-  /// RunOnServer; after Stop() every loop thread has joined and direct
+  /// RunOnServer; after Stop() every worker thread has joined and direct
   /// reads are safe.
   core::CarouselServer* server(NodeId id) {
     std::lock_guard<std::mutex> lk(lifecycle_mu_);
@@ -88,8 +89,10 @@ class RtCluster {
   }
 
   /// ---- Node lifecycle (requires RtClusterOptions::storage_dir) ----
-  /// SIGKILL equivalent: joins the node's loop thread mid-flight and
-  /// destroys the server object — volatile state (queues, timers, roles'
+  /// SIGKILL equivalent: stops the node mid-flight (ThreadedRuntime::
+  /// StopNode: after it returns none of the node's code runs again; the
+  /// other nodes on its worker keep running) and destroys the server
+  /// object — volatile state (queues, timers, roles'
   /// in-memory maps) is gone; only the WAL survives. Thread-safe; returns
   /// false if `id` is not a live server or no storage is configured.
   bool KillServer(NodeId id);
@@ -105,9 +108,9 @@ class RtCluster {
   size_t recovered_log_entries() const;
   size_t recovered_pending() const;
 
-  /// Runs `fn` on client `index`'s loop thread (fire and forget).
+  /// Runs `fn` on client `index`'s event loop (fire and forget).
   void RunOnClient(int index, runtime::EventFn fn);
-  /// Runs `fn` on server `id`'s loop thread (fire and forget).
+  /// Runs `fn` on server `id`'s event loop (fire and forget).
   void RunOnServer(NodeId id, runtime::EventFn fn);
 
   /// Attaches a verification history recorder to every client and server.

@@ -18,12 +18,12 @@ namespace carousel::runtime {
 // fresh memory is only carved (in chunks) when a list runs dry.
 //
 // The pools are thread_local: under the simulator everything stays on the
-// one simulation thread; under the threaded backend each event-loop thread
-// recycles its own blocks with no locking. A message allocated on one
-// thread can be released on another (in-process transport hands the same
-// shared_ptr across loops), which simply donates the block to the
-// releasing thread's pool — chunks are never freed, so blocks stay valid
-// wherever they end up.
+// one simulation thread; under the threaded backend each worker thread
+// recycles its own blocks with no locking, one pool for all the nodes it
+// serves. A message allocated on one thread can be released on another
+// (in-process transport hands the same shared_ptr across workers), which
+// simply donates the block to the releasing thread's pool — chunks are
+// never freed, so blocks stay valid wherever they end up.
 //
 // Under ASan/MSan/TSan the pool is disabled (plain make_shared) so the
 // sanitizers keep seeing every message's true lifetime.

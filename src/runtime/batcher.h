@@ -26,8 +26,9 @@ class Endpoint;
 /// exactly like messages sitting in a real process's socket buffer.
 ///
 /// The batcher lives entirely on the owner's execution context (the sim
-/// thread, or the owner's event-loop thread): Send, Flush and the timer
-/// callback all run there, so no locking is needed under either backend.
+/// thread, or the owner's event loop on its worker thread): Send, Flush
+/// and the timer callback all run there, so no locking is needed under
+/// either backend.
 class MessageBatcher {
  public:
   struct Options {

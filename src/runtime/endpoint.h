@@ -12,8 +12,9 @@ namespace carousel::runtime {
 /// instance. Endpoints receive messages via HandleMessage and send through
 /// their bound transport; they never share state directly. Under the
 /// simulator every endpoint runs on the one simulation thread; under the
-/// threaded backend each endpoint owns an event-loop thread and all of its
-/// handlers and timer callbacks run there.
+/// threaded backend each endpoint has an event loop pinned to one worker
+/// thread, shared with other endpoints, and all of its handlers and timer
+/// callbacks run there, never two at once.
 class Endpoint {
  public:
   Endpoint(NodeId id, DcId dc) : id_(id), dc_(dc) {}

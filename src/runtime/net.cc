@@ -77,8 +77,7 @@ void NetPoller::Start() {
 void NetPoller::Stop() {
   if (thread_.joinable()) {
     stop_.store(true, std::memory_order_release);
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    WriteWakeFd();
     thread_.join();
     if (std::getenv("CAROUSEL_NET_DEBUG") != nullptr) {
       std::fprintf(stderr,
@@ -98,10 +97,14 @@ void NetPoller::Stop() {
 
 void NetPoller::Wake() {
   if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) {
-    dbg_wake_writes_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    WriteWakeFd();
   }
+}
+
+void NetPoller::WriteWakeFd() {
+  dbg_wake_writes_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 void NetPoller::RunSync(std::function<void()> fn) {
@@ -122,7 +125,11 @@ void NetPoller::RunSync(std::function<void()> fn) {
       cv.notify_one();
     });
   }
-  Wake();
+  // Not the collapsed Wake(): the flag may still be set from a send whose
+  // eventfd write the I/O thread already consumed in its current pass,
+  // and a task queued after that pass's RunTasks() would then wait for
+  // some later send to wake the thread — forever, once no net sends.
+  WriteWakeFd();
   std::unique_lock<std::mutex> lk(mu);
   cv.wait(lk, [&]() { return done; });
 }

@@ -103,12 +103,13 @@ class NodeNet;
 
 /// One epoll-driven I/O thread shared by one or more NodeNets. Every
 /// socket syscall in the transport — connect, accept, sendmsg, recv —
-/// happens on this thread; node event-loop threads only enqueue frames
-/// and (rarely) write the wakeup eventfd. Sharing one poller across the
-/// nodes of a process means a message's send side and its receiver's read
-/// side run back to back on the same thread, and one wakeup drains every
-/// node's egress in a single pass — the coalescing that makes the
-/// transport cheaper than a syscall per message.
+/// happens on this thread; the runtime's worker threads, which run the
+/// nodes' event loops, only enqueue frames and (rarely) write the wakeup
+/// eventfd. Sharing one poller across the nodes of a process means a
+/// message's send side and its receiver's read side run back to back on
+/// the same thread, and one wakeup drains every node's egress in a single
+/// pass — the coalescing that makes the transport cheaper than a syscall
+/// per message.
 ///
 /// Lifecycle: Init() (epoll + eventfd), attach nets, Start(), Stop()
 /// (joins; idempotent). Attach/detach after Start is marshalled onto the
@@ -140,7 +141,8 @@ class NetPoller {
   /// Runs `fn` on the I/O thread and waits for it — the safe way to touch
   /// I/O-thread-owned state (socket teardown, net attach/detach) from
   /// outside. Runs inline when the poller is not running or when already
-  /// on the I/O thread.
+  /// on the I/O thread. Always writes the eventfd (rare call, so the
+  /// collapsed Wake() buys nothing and could strand the task).
   void RunSync(std::function<void()> fn);
 
   bool OnIoThread() const {
@@ -151,8 +153,8 @@ class NetPoller {
   /// True when it is safe to touch I/O-thread-owned state: either this is
   /// the I/O thread, or the poller is not running (pre-Start setup and
   /// post-Stop teardown run inline on the caller). Debug asserts use this;
-  /// an event-loop thread calling a socket-touching member while the
-  /// poller runs is a crash, not a latency mystery.
+  /// a worker thread calling a socket-touching member while the poller
+  /// runs is a crash, not a latency mystery.
   bool InIoContext() const {
     return OnIoThread() || !running_.load(std::memory_order_acquire);
   }
@@ -180,6 +182,8 @@ class NetPoller {
 
   void IoLoop();
   void RunTasks();
+  /// Unconditional eventfd write.
+  void WriteWakeFd();
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
@@ -238,8 +242,8 @@ class NetPoller {
 /// process teardown is not a network fault).
 ///
 /// In debug builds every socket-touching member asserts it runs on the
-/// poller's I/O thread, so an event-loop thread blocking in send/connect
-/// is a crash, not a latency mystery.
+/// poller's I/O thread, so a worker thread blocking in send/connect is a
+/// crash, not a latency mystery.
 class NodeNet {
  public:
   /// Delivery hook for decoded inbound messages; runs on the I/O thread,

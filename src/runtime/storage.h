@@ -43,8 +43,10 @@ struct DurableNodeState {
 /// Durable node state for the threaded backend, wired through NodeEnv.
 /// Null under the simulator (crashes there are process pauses with
 /// in-memory "durable" state, so nothing needs a disk). All methods are
-/// called from the owning node's event-loop thread only, except Load,
-/// which the harness may call before the loop starts.
+/// called from the owning node's event loop only (on its worker thread),
+/// except Load, which the harness may call before the loop starts. A WAL
+/// append with fsync blocks that worker, and with it every other node the
+/// worker serves.
 class Storage {
  public:
   virtual ~Storage() = default;

@@ -1,12 +1,29 @@
 #include "runtime/threaded.h"
 
+#include <sched.h>
+
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <thread>
 
 namespace carousel::runtime {
 
 namespace {
+
+// CPUs this process may run on: its affinity mask, which taskset and
+// cpusets narrow (std::thread::hardware_concurrency() counts every online
+// CPU regardless). The call fails only on hosts with more CPUs than a
+// cpu_set_t holds; one worker is still correct there.
+size_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+}
 
 int64_t MonotonicNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -24,157 +41,305 @@ SimTime SteadyClock::now() const {
   return (MonotonicNanos() - start_nanos_) / 1000;
 }
 
+// --------------------------------------------------------------- worker --
+
+// One OS thread serving the event loops of every node pinned to it. It owns
+// one mutex and condvar, one FIFO of (node, message), one task FIFO and one
+// timer heap for all of those nodes, and each pass drains everything that
+// is ready, then runs it unlocked. Every queued item carries the epoch its
+// node had when it was posted; items of a stopped node, or of an earlier
+// life of a restarted one, are discarded as the pass drains them.
+class Worker {
+ public:
+  explicit Worker(const Clock* clock) : clock_(clock) {}
+  ~Worker() { Quit(); }
+
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  void Attach(EventLoop* loop) { loops_.push_back(loop); }
+
+  void Start() {
+    thread_ = std::thread([this]() { Run(); });
+  }
+
+  /// Stops every node on this worker, lets the pass in flight finish and
+  /// joins the thread. Idempotent; its loops must still exist.
+  void Quit() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      for (EventLoop* loop : loops_) MarkStopped(loop);
+      quit_ = true;
+    }
+    cv_.notify_one();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// The worker whose thread is calling, if any.
+  static Worker* Current() { return current_; }
+
+ private:
+  friend class EventLoop;
+
+  struct Inbound {
+    EventLoop* loop;
+    uint64_t epoch;
+    NodeId from;
+    MessagePtr msg;
+    Endpoint* endpoint = nullptr;  // Set by the drain; null = stale.
+  };
+  struct Task {
+    EventLoop* loop;  // Null once the drain found it stale.
+    uint64_t epoch;
+    EventFn fn;
+  };
+  struct Timer {
+    SimTime at;
+    uint64_t seq;
+    Task task;
+  };
+  struct TimerLater {
+    bool operator()(const Timer& a, const Timer& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+
+  static constexpr SimTime kNow = std::numeric_limits<SimTime>::min();
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
+  /// Both under mu_.
+  static void MarkStopped(EventLoop* loop) {
+    if (loop->stopped_) return;
+    loop->stopped_ = true;
+    loop->epoch_++;
+  }
+  static bool Live(const EventLoop* loop, uint64_t epoch) {
+    return !loop->stopped_ && loop->epoch_ == epoch;
+  }
+
+  /// Under mu_: whether work due at `at` must wake the thread. Only the
+  /// first poster after the thread fell asleep pays for the notify; a
+  /// busy worker (including one posting to its own nodes) is never
+  /// signalled.
+  bool NeedsWake(SimTime at = kNow) {
+    if (!sleeping_ || at >= sleep_until_) return false;
+    sleeping_ = false;
+    return true;
+  }
+
+  void Run();
+
+  const Clock* clock_;
+  std::vector<EventLoop*> loops_;
+  static thread_local Worker* current_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  /// Signalled at the end of a pass while a Stop waits for it.
+  std::condition_variable pass_done_;
+  bool quit_ = false;
+  bool sleeping_ = false;
+  SimTime sleep_until_ = kNever;
+  bool in_pass_ = false;
+  uint64_t passes_ = 0;
+  int pass_waiters_ = 0;
+  std::vector<Inbound> inbound_;
+  std::vector<Task> tasks_;
+  std::vector<Timer> timers_;  // Min-heap by (at, seq).
+  uint64_t next_timer_seq_ = 0;
+  std::thread thread_;  // Last: it uses every member above.
+};
+
+thread_local Worker* Worker::current_ = nullptr;
+
+void Worker::Run() {
+  current_ = this;
+  std::unique_lock<std::mutex> lk(mu_);
+  std::vector<Inbound> msgs;
+  std::vector<Task> work;
+  std::vector<Task> due;
+  while (!quit_) {
+    const SimTime now = clock_->now();
+    const bool timer_due = !timers_.empty() && timers_.front().at <= now;
+    if (inbound_.empty() && tasks_.empty() && !timer_due) {
+      sleeping_ = true;
+      if (timers_.empty()) {
+        sleep_until_ = kNever;
+        cv_.wait(lk);
+      } else {
+        sleep_until_ = timers_.front().at;
+        cv_.wait_for(lk, std::chrono::microseconds(sleep_until_ - now));
+      }
+      sleeping_ = false;
+      continue;
+    }
+    // Drain everything ready under the lock — filtering out stale work —
+    // then run it unlocked so handlers can freely Schedule/Post/Send,
+    // including to nodes of this worker, whose work lands in the next pass.
+    msgs.swap(inbound_);
+    work.swap(tasks_);
+    while (!timers_.empty() && timers_.front().at <= now) {
+      std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
+      due.push_back(std::move(timers_.back().task));
+      timers_.pop_back();
+    }
+    for (Inbound& m : msgs) {
+      m.loop->queued_--;
+      if (Live(m.loop, m.epoch)) m.endpoint = m.loop->endpoint_;
+    }
+    for (Task& t : work) {
+      if (!Live(t.loop, t.epoch)) t.loop = nullptr;
+    }
+    for (Task& t : due) {
+      if (!Live(t.loop, t.epoch)) t.loop = nullptr;
+    }
+    in_pass_ = true;
+    lk.unlock();
+    for (Inbound& m : msgs) {
+      if (m.endpoint != nullptr) m.endpoint->HandleMessage(m.from, m.msg);
+    }
+    for (Task& t : work) {
+      if (t.loop != nullptr) t.fn();
+    }
+    for (Task& t : due) {
+      if (t.loop != nullptr) t.fn();
+    }
+    msgs.clear();
+    work.clear();
+    due.clear();
+    lk.lock();
+    in_pass_ = false;
+    passes_++;
+    if (pass_waiters_ > 0) pass_done_.notify_all();
+  }
+}
+
 // ----------------------------------------------------------- event loop --
 
-EventLoop::EventLoop(const Clock* clock, size_t max_inbound)
-    : clock_(clock), max_inbound_(max_inbound) {}
-
-EventLoop::~EventLoop() { Stop(); }
+EventLoop::EventLoop(Worker* worker, const Clock* clock, size_t max_inbound)
+    : worker_(worker), clock_(clock), max_inbound_(max_inbound) {}
 
 void EventLoop::Schedule(SimTime delay, EventFn fn) {
   ScheduleAt(clock_->now() + (delay < 0 ? 0 : delay), std::move(fn));
 }
 
 void EventLoop::ScheduleAt(SimTime t, EventFn fn) {
+  Worker& w = *worker_;
+  bool wake;
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    timers_.push_back(Timer{t, next_timer_seq_++, std::move(fn)});
-    std::push_heap(timers_.begin(), timers_.end(), TimerLater{});
+    std::lock_guard<std::mutex> lk(w.mu_);
+    w.timers_.push_back(
+        Worker::Timer{t, w.next_timer_seq_++, {this, epoch_, std::move(fn)}});
+    std::push_heap(w.timers_.begin(), w.timers_.end(), Worker::TimerLater{});
+    wake = w.NeedsWake(t);
   }
-  cv_.notify_one();
+  if (wake) w.cv_.notify_one();
 }
 
 void EventLoop::Post(EventFn fn) {
+  Worker& w = *worker_;
+  bool wake;
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    tasks_.push_back(std::move(fn));
+    std::lock_guard<std::mutex> lk(w.mu_);
+    w.tasks_.push_back(Worker::Task{this, epoch_, std::move(fn)});
+    wake = w.NeedsWake();
   }
-  cv_.notify_one();
+  if (wake) w.cv_.notify_one();
+}
+
+// Under the worker lock: whether one more message may queue for this node.
+// A stopped (killed) node accepts no input; overflow is the bounded
+// asynchronous-network model. Either way, a counted drop.
+bool EventLoop::Admit() {
+  if (stopped_ || queued_ >= max_inbound_) {
+    dropped_++;
+    return false;
+  }
+  queued_++;
+  posted_++;
+  return true;
 }
 
 bool EventLoop::PostMessage(NodeId from, MessagePtr msg) {
+  Worker& w = *worker_;
+  bool wake;
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_ || inbound_.size() >= max_inbound_) {
-      // A stopped (killed) node accepts no input; overflow is the bounded
-      // asynchronous-network model. Either way, a counted drop.
-      dropped_++;
-      return false;
-    }
-    inbound_.emplace_back(from, std::move(msg));
-    posted_++;
+    std::lock_guard<std::mutex> lk(w.mu_);
+    if (!Admit()) return false;
+    w.inbound_.push_back(Worker::Inbound{this, epoch_, from, std::move(msg)});
+    wake = w.NeedsWake();
   }
-  // Notify after unlock so the woken loop thread doesn't immediately
-  // block on mu_ held here.
-  cv_.notify_one();
+  // Notify after unlock so the woken worker doesn't immediately block on
+  // the mutex held here.
+  if (wake) w.cv_.notify_one();
   return true;
 }
 
 void EventLoop::PostMessages(std::vector<std::pair<NodeId, MessagePtr>>& msgs) {
   if (msgs.empty()) return;
+  Worker& w = *worker_;
+  bool wake = false;
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(w.mu_);
     for (auto& [from, msg] : msgs) {
-      if (stop_ || inbound_.size() >= max_inbound_) {
-        dropped_++;
-        continue;
-      }
-      inbound_.emplace_back(from, std::move(msg));
-      posted_++;
+      if (!Admit()) continue;
+      w.inbound_.push_back(Worker::Inbound{this, epoch_, from, std::move(msg)});
+      wake = true;
     }
+    wake = wake && w.NeedsWake();
   }
-  cv_.notify_one();
+  if (wake) w.cv_.notify_one();
 }
 
 void EventLoop::Start(Endpoint* endpoint) {
+  std::lock_guard<std::mutex> lk(worker_->mu_);
   endpoint_ = endpoint;
-  thread_ = std::thread([this]() { Run(); });
 }
 
 void EventLoop::Stop() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_) {
-      // Already stopping; just make sure the thread is joined below.
-    }
-    stop_ = true;
-    cv_.notify_one();
+  if (Worker::Current() != nullptr) {
+    std::fprintf(stderr,
+                 "EventLoop::Stop called from a worker thread: it would wait "
+                 "for its own pass\n");
+    std::abort();
   }
-  if (thread_.joinable()) thread_.join();
+  Worker& w = *worker_;
+  std::unique_lock<std::mutex> lk(w.mu_);
+  Worker::MarkStopped(this);
+  // The pass in flight may have drained this node's work before the mark;
+  // wait it out, after which every later pass sees the new epoch.
+  if (w.in_pass_) {
+    const uint64_t pass = w.passes_;
+    w.pass_waiters_++;
+    w.pass_done_.wait(lk, [&]() { return w.passes_ != pass; });
+    w.pass_waiters_--;
+  }
 }
 
 void EventLoop::Restart(Endpoint* endpoint) {
-  if (thread_.joinable()) thread_.join();  // Stop() normally already did.
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    // Nothing volatile survives the kill: queued messages, posted tasks
-    // and armed timers of the previous life are gone.
-    inbound_.clear();
-    tasks_.clear();
-    timers_.clear();
-    stop_ = false;
-    endpoint_ = endpoint;
-  }
-  thread_ = std::thread([this]() { Run(); });
+  Stop();
+  std::lock_guard<std::mutex> lk(worker_->mu_);
+  // Nothing volatile survives the kill: messages, tasks and timers queued
+  // in the previous life or while dead carry an older epoch.
+  epoch_++;
+  stopped_ = false;
+  endpoint_ = endpoint;
 }
 
 bool EventLoop::stopped() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return stop_;
+  std::lock_guard<std::mutex> lk(worker_->mu_);
+  return stopped_;
 }
 
 uint64_t EventLoop::dropped_messages() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(worker_->mu_);
   return dropped_;
 }
 
 uint64_t EventLoop::posted_messages() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(worker_->mu_);
   return posted_;
-}
-
-void EventLoop::Run() {
-  std::unique_lock<std::mutex> lk(mu_);
-  std::vector<std::pair<NodeId, MessagePtr>> msgs;
-  std::vector<EventFn> work;
-  while (!stop_) {
-    const SimTime now = clock_->now();
-    if (inbound_.empty() && tasks_.empty() &&
-        (timers_.empty() || timers_.front().at > now)) {
-      if (timers_.empty()) {
-        cv_.wait(lk);
-      } else {
-        cv_.wait_for(lk,
-                     std::chrono::microseconds(timers_.front().at - now));
-      }
-      continue;
-    }
-    // Drain one batch of work under the lock, then run it unlocked so
-    // handlers can freely Schedule/Post/Send (including to this loop).
-    msgs.clear();
-    work.clear();
-    while (!inbound_.empty()) {
-      msgs.push_back(std::move(inbound_.front()));
-      inbound_.pop_front();
-    }
-    while (!tasks_.empty()) {
-      work.push_back(std::move(tasks_.front()));
-      tasks_.pop_front();
-    }
-    std::vector<EventFn> due;
-    while (!timers_.empty() && timers_.front().at <= now) {
-      std::pop_heap(timers_.begin(), timers_.end(), TimerLater{});
-      due.push_back(std::move(timers_.back().fn));
-      timers_.pop_back();
-    }
-    lk.unlock();
-    for (auto& [from, msg] : msgs) endpoint_->HandleMessage(from, msg);
-    for (auto& fn : work) fn();
-    for (auto& fn : due) fn();
-    msgs.clear();
-    work.clear();
-    lk.lock();
-  }
 }
 
 // -------------------------------------------------------------- runtime --
@@ -182,10 +347,17 @@ void EventLoop::Run() {
 ThreadedRuntime::ThreadedRuntime(size_t num_nodes,
                                  ThreadedRuntimeOptions options)
     : options_(std::move(options)) {
+  const size_t num_workers = std::min(num_nodes, AffinityCpus());
+  workers_.reserve(num_workers);
+  for (size_t i = 0; i < num_workers; ++i) {
+    workers_.push_back(std::make_unique<Worker>(&clock_));
+  }
   loops_.reserve(num_nodes);
   for (size_t i = 0; i < num_nodes; ++i) {
-    loops_.push_back(
-        std::make_unique<EventLoop>(&clock_, options_.max_inbound_queue));
+    Worker* worker = workers_[i % num_workers].get();
+    loops_.push_back(std::make_unique<EventLoop>(worker, &clock_,
+                                                 options_.max_inbound_queue));
+    worker->Attach(loops_.back().get());
   }
   endpoints_.resize(num_nodes, nullptr);
 }
@@ -202,6 +374,7 @@ bool ThreadedRuntime::Start() {
   for (size_t i = 0; i < loops_.size(); ++i) {
     loops_[i]->Start(endpoints_[i]);
   }
+  for (auto& worker : workers_) worker->Start();
   started_ = true;
   return true;
 }
@@ -210,12 +383,12 @@ void ThreadedRuntime::Stop() {
   if (stopped_) return;
   stopped_ = true;
   // Transport first: once the nets are down no I/O thread can deliver
-  // into a loop, so the loops drain and join without new inbound work.
+  // into a loop, so the workers join without new inbound work.
   for (auto& net : nets_) {
     if (net != nullptr) net->Stop();
   }
   if (poller_ != nullptr) poller_->Stop();
-  for (auto& loop : loops_) loop->Stop();
+  for (auto& worker : workers_) worker->Quit();
 }
 
 void ThreadedRuntime::Send(NodeId from, NodeId to, MessagePtr msg) {
@@ -241,7 +414,7 @@ void ThreadedRuntime::Send(NodeId from, NodeId to, MessagePtr msg) {
     }
     if (delay > 0) {
       // In TCP mode the delayed write must still happen on the sender's
-      // loop thread (frames on an edge never interleave); in-process the
+      // loop (frames on an edge never interleave); in-process the
       // receiver's loop is the natural carrier. A stopped carrier loop
       // discards the timer — a drop, as a dead link would.
       EventLoop* carrier = loops_[options_.use_tcp ? from : to].get();
@@ -268,7 +441,7 @@ void ThreadedRuntime::DeliverDirect(NodeId from, NodeId to, MessagePtr msg) {
     return;
   }
   // Encode + enqueue on the sender's NodeNet; never touches a socket on
-  // this (the loop) thread. Drops are counted inside the net by reason.
+  // this (the worker) thread. Drops are counted inside the net by reason.
   nets_[from]->Send(to, *msg);
 }
 

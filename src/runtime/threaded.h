@@ -2,14 +2,10 @@
 #define CAROUSEL_RUNTIME_THREADED_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <random>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,93 +30,92 @@ class SteadyClock final : public Clock {
 };
 
 class ThreadedRuntime;
+class Worker;
 
-/// One node's event loop: a thread draining an inbound message queue, a
-/// run-soon task queue, and a timer min-heap. Everything an endpoint does
-/// (message handlers, timer callbacks, posted closures) runs on this one
-/// thread, preserving the actor model the protocols were written against —
-/// handlers for a node never run concurrently with each other.
+/// One node's event loop: the per-node handle onto the worker thread the
+/// node is pinned to (see ThreadedRuntime). Everything an endpoint does
+/// (message handlers, timer callbacks, posted closures) runs on that one
+/// worker, preserving the actor model the protocols were written against —
+/// handlers for a node never run concurrently with each other. The worker
+/// serves several nodes, so the queues behind this handle are the
+/// worker's: one message FIFO, one task FIFO and one timer heap shared by
+/// all of its nodes, each item tagged with its node and that node's epoch.
+/// A message to a node on the same worker still goes through the FIFO and
+/// runs in the worker's next pass; a handler is never called directly.
 class EventLoop final : public TimerQueue {
  public:
-  EventLoop(const Clock* clock, size_t max_inbound);
-  ~EventLoop() override;
+  EventLoop(Worker* worker, const Clock* clock, size_t max_inbound);
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// TimerQueue: callable from any thread (typically this loop's own).
+  /// TimerQueue: callable from any thread (typically this node's worker).
   void Schedule(SimTime delay, EventFn fn) override;
   void ScheduleAt(SimTime t, EventFn fn) override;
 
-  /// Runs `fn` on the loop thread as soon as possible. Thread-safe; the
+  /// Runs `fn` on the node's worker as soon as possible. Thread-safe; the
   /// harness uses this to drive client API calls onto client loops.
   void Post(EventFn fn);
 
   /// Enqueues an inbound message for the endpoint. Returns false (and
-  /// counts a drop) when the bounded queue is full — the asynchronous
-  /// network model; protocols mask it with retries. Thread-safe.
+  /// counts a drop) when the node's share of the worker queue is at its
+  /// bound — the asynchronous network model; protocols mask it with
+  /// retries. Thread-safe.
   bool PostMessage(NodeId from, MessagePtr msg);
 
-  /// Bulk PostMessage: one lock and one wakeup for the whole batch (the
-  /// TCP I/O thread delivers everything it decoded in a drain pass this
-  /// way). Moves the messages out of `msgs` but leaves the vector intact
-  /// for reuse. Messages past the queue bound are dropped and counted
-  /// individually. Thread-safe.
+  /// Bulk PostMessage: one lock and at most one wakeup for the whole
+  /// batch (the TCP I/O thread delivers everything it decoded in a drain
+  /// pass this way). Moves the messages out of `msgs` but leaves the
+  /// vector intact for reuse. Messages past the queue bound are dropped
+  /// and counted individually. Thread-safe.
   void PostMessages(std::vector<std::pair<NodeId, MessagePtr>>& msgs);
 
-  /// Launches the loop thread delivering to `endpoint`.
+  /// Binds the endpoint the worker delivers to; it starts running once
+  /// the runtime's workers start.
   void Start(Endpoint* endpoint);
 
-  /// Stops and joins the loop thread; pending work is discarded. While
-  /// stopped, PostMessage drops (counted) — a dead process accepts no
-  /// input — and posted tasks/timers accumulate only to be cleared by
-  /// Restart. Idempotent.
+  /// Stops the node: marks it stopped and bumps its epoch under the
+  /// worker lock, then waits until the worker finishes the pass in flight.
+  /// Once this returns no code of the node runs again; everything it had
+  /// queued is discarded. While stopped, PostMessage drops (counted) — a
+  /// dead process accepts no input — and posted tasks/timers are
+  /// discarded. Idempotent. Must not be called from a worker thread (it
+  /// would wait for its own pass): that aborts.
   void Stop();
 
-  /// Relaunches a stopped loop for `endpoint` (typically a fresh one
-  /// recovered from durable storage). All queued messages, tasks and
-  /// timers from the previous life are discarded first — the SIGKILL
-  /// model: nothing volatile survives.
+  /// Restarts the node (stopping it first if needed) for `endpoint`,
+  /// typically a fresh one recovered from durable storage. The epoch bump
+  /// discards every message, task and timer queued in a previous life or
+  /// while the node was dead — the SIGKILL model: nothing volatile
+  /// survives.
   void Restart(Endpoint* endpoint);
 
   bool stopped() const;
 
   uint64_t dropped_messages() const;
 
-  /// Messages accepted onto this loop's inbound queue over its lifetime.
+  /// Messages accepted onto this node's inbound queue over its lifetime.
   /// Monotone; tests poll the cluster-wide sum for quiescence (the count
   /// stops moving once no node is generating traffic).
   uint64_t posted_messages() const;
 
  private:
-  struct Timer {
-    SimTime at = 0;
-    uint64_t seq = 0;
-    EventFn fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  friend class Worker;
 
-  void Run();
+  bool Admit();
 
+  Worker* const worker_;
   const Clock* clock_;
   const size_t max_inbound_;
+  // Guarded by the worker's mutex.
   Endpoint* endpoint_ = nullptr;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::deque<std::pair<NodeId, MessagePtr>> inbound_;
-  std::deque<EventFn> tasks_;
-  std::vector<Timer> timers_;  // Min-heap by (at, seq).
-  uint64_t next_timer_seq_ = 0;
+  bool stopped_ = false;
+  /// Bumped by every stop and restart; queued work of an older epoch is
+  /// stale and discarded when the worker drains it.
+  uint64_t epoch_ = 0;
+  size_t queued_ = 0;  // This node's messages in the worker FIFO.
   uint64_t dropped_ = 0;
   uint64_t posted_ = 0;
-  std::thread thread_;
 };
 
 struct ThreadedRuntimeOptions {
@@ -136,9 +131,15 @@ struct ThreadedRuntimeOptions {
   NetOptions net;
 };
 
-/// Backend #2 of the runtime seam: one event-loop thread per node on a
-/// shared monotonic clock, with either in-process or localhost-TCP message
-/// transport. Faults come from the real-time nemesis (runtime/nemesis_rt.h:
+/// Backend #2 of the runtime seam: the nodes' event loops run on a fixed
+/// pool of W = min(nodes, CPUs in the process's affinity mask) worker
+/// threads, node i pinned to worker i mod W, on a shared monotonic clock,
+/// with either in-process or localhost-TCP message transport. There is no
+/// work stealing: a node always runs on its one worker, so the actor
+/// model holds without per-node locks, and a worker woken once serves all
+/// of its nodes in one pass. A handler that blocks also stalls the other
+/// nodes of its worker; the only blocking call on a loop is the WAL's
+/// fsync under WalStorageOptions::fsync. Faults come from the real-time nemesis (runtime/nemesis_rt.h:
 /// kills with WAL restart, partitions, link faults); there is no cost
 /// model and no determinism — this is the "as fast as the hardware allows"
 /// deployment shape; the simulator remains the substrate for reproducible
@@ -146,7 +147,7 @@ struct ThreadedRuntimeOptions {
 class ThreadedRuntime final : public Transport {
  public:
   /// Creates loops for nodes 0..num_nodes-1 (ids are dense, as in the
-  /// simulator's Topology).
+  /// simulator's Topology) and their workers.
   ThreadedRuntime(size_t num_nodes, ThreadedRuntimeOptions options);
   ~ThreadedRuntime() override;
 
@@ -167,12 +168,13 @@ class ThreadedRuntime final : public Transport {
   /// Start. Binds the endpoint's runtime hooks to this transport.
   void Register(Endpoint* endpoint);
 
-  /// Opens sockets (TCP mode) and launches all loop threads. Returns
+  /// Opens sockets (TCP mode) and launches the worker threads. Returns
   /// false if TCP setup fails (e.g. sockets unavailable in a sandbox);
   /// the runtime is then unusable and only Stop/destruction is valid.
   bool Start();
 
-  /// Stops and joins all loop and socket threads. Idempotent.
+  /// Stops and joins the worker and socket threads; every node is then
+  /// stopped. Idempotent.
   void Stop();
 
   /// Transport: in-process handoff or TCP frame, per options. Loopback
@@ -205,15 +207,23 @@ class ThreadedRuntime final : public Transport {
   uint64_t fault_dropped_messages() const;
 
   /// ---- Node kill/restart (RT nemesis) ----
-  /// SIGKILL-equivalent: joins node `id`'s loop thread and discards its
-  /// queued work; messages to it drop until RestartNode. The node's
-  /// listener socket stays open in TCP mode (its frames drain into the
-  /// drop counter), so peers keep their connections.
+  /// SIGKILL-equivalent (EventLoop::Stop): marks node `id` stopped, waits
+  /// out its worker's pass in flight, and discards its queued work; after
+  /// it returns none of the node's code runs again, so the caller may
+  /// destroy the endpoint. Messages to it drop until RestartNode. The
+  /// node's listener socket stays open in TCP mode (its frames drain into
+  /// the drop counter), so peers keep their connections. The other nodes
+  /// on its worker keep running. Aborts when called from a worker thread.
   void StopNode(NodeId id);
   /// Re-registers `endpoint` (a fresh object, typically recovered from
-  /// durable storage) as node endpoint->id() and restarts its loop.
+  /// durable storage) as node endpoint->id() and restarts its loop; work
+  /// posted while the node was dead never runs.
   void RestartNode(Endpoint* endpoint);
   bool node_stopped(NodeId id) const { return loops_[id]->stopped(); }
+
+  /// Worker threads serving the nodes: min(nodes, CPUs in the affinity
+  /// mask), fixed at construction.
+  size_t num_workers() const { return workers_.size(); }
 
   /// Messages dropped across all nodes: full inbound queues plus every
   /// transport drop (queue-full, connect-fail, decode-fail). Fault drops
@@ -241,6 +251,8 @@ class ThreadedRuntime final : public Transport {
   ThreadedRuntimeOptions options_;
   SteadyClock clock_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
+  /// After loops_: a worker stops its loops when destroyed.
+  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Endpoint*> endpoints_;
   bool started_ = false;
   bool stopped_ = false;

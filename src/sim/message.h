@@ -116,7 +116,7 @@ class Message {
   /// every (re)transmission to every follower. Hot paths must use this.
   ///
   /// The memo is a relaxed atomic because the threaded runtime shares one
-  /// immutable message across loop threads (in-process transport); racing
+  /// immutable message across worker threads (in-process transport); racing
   /// initializers compute the same value, so last-write-wins is benign.
   size_t WireSize() const {
     size_t cached = wire_size_.load(std::memory_order_relaxed);

@@ -1,7 +1,8 @@
 // Unit tests for the non-blocking epoll TCP transport (runtime/net.h):
 // framing and FIFO delivery, egress coalescing under the per-sendmsg cap,
 // partial-write resumption across EAGAIN, counted backpressure drops,
-// reconnect after a peer restart, and decode-failure accounting. The
+// reconnect after a peer restart, decode-failure accounting, and stopping
+// a net while it is being sent to. The
 // tests drive NodeNet/NetPoller directly with a trivial blob codec so
 // payload sizes are arbitrary (the real wire codec has its own suite).
 
@@ -12,12 +13,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -523,6 +527,121 @@ TEST_F(NetTransportTest, UnknownTypeCountsDecodeFailAndStreamSurvives) {
   EXPECT_EQ(Ld(b->stats().drops_decode_fail), 1u);
   EXPECT_EQ(Ld(b->stats().frames_received), 1u);
   ::close(fd);
+}
+
+// NodeNet::Stop marshals its teardown onto the I/O thread with RunSync.
+// The collapsed Wake() skips the eventfd write while the wakeup flag is
+// set, and the flag stays set from a send whose write the I/O thread
+// already consumed until the end of its pass, after RunTasks and the
+// deliver hooks. A RunSync landing there must still wake the thread: the
+// net being stopped can no longer send, and nothing else may. Each round
+// parks the I/O thread in b's deliver hook (the end of a pass) while a
+// sender keeps the flag set and another thread stops the sending net; a
+// watchdog turns a lost wakeup into a failure instead of a hang.
+TEST_F(NetTransportTest, StopWhileAnotherThreadSendsNeverLosesItsWakeup) {
+  constexpr int kRounds = 20;
+  constexpr auto kWatchdog = std::chrono::seconds(5);
+  int hung = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    NetPoller poller;
+    ASSERT_TRUE(poller.Init());
+    // Node 2 is a raw sink drained by its own thread, off the poller, so
+    // a's frames to it raise no event that could rescue a lost wakeup.
+    RawPeer sink;
+    ASSERT_TRUE(sink.Listen());
+    std::atomic<bool> done{false};
+    std::thread reader([&]() {
+      const int fd = sink.Accept();
+      if (fd < 0) return;
+      uint8_t buf[65536];
+      while (!done.load()) {
+        pollfd p{fd, POLLIN, 0};
+        if (::poll(&p, 1, 10) > 0 && ::recv(fd, buf, sizeof(buf), 0) <= 0) {
+          break;
+        }
+      }
+      ::close(fd);
+    });
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool in_hook = false;
+    Sink sink_a;
+    NodeNet a(0, 3, &poller, BlobCodec(), sink_a.fn(), {});
+    NodeNet b(1, 3, &poller, BlobCodec(),
+              [&](std::vector<std::pair<NodeId, MessagePtr>>&) {
+                {
+                  std::lock_guard<std::mutex> lk(mu);
+                  in_hook = true;
+                }
+                cv.notify_all();
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              },
+              {});
+    ASSERT_TRUE(a.Bind());
+    ASSERT_TRUE(b.Bind());
+    a.SetPeerPort(2, sink.port);
+    a.Start();
+    b.Start();
+    poller.Start();
+
+    // Keeps the flag set without ever filling a socket buffer: an EAGAIN
+    // would park the connection on EPOLLOUT, whose event rescues the
+    // stranded task.
+    std::thread sender([&]() {
+      while (!done.load()) {
+        if (Ld(a.stats().frames_enqueued) - Ld(a.stats().frames_sent) < 64) {
+          a.Send(2, Blob("s"));
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    });
+    std::promise<void> stopped;
+    std::thread stopper([&]() {
+      std::unique_lock<std::mutex> lk(mu);
+      cv.wait(lk, [&]() { return in_hook; });
+      lk.unlock();
+      a.Stop();
+      stopped.set_value();
+    });
+
+    // One frame into b makes the I/O thread run b's deliver hook. It goes
+    // out once a's connection is up and the sender is in its steady state,
+    // so no connect or accept event is left to wake the I/O thread.
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(b.port());
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    ASSERT_TRUE(WaitUntil([&]() { return Ld(a.stats().frames_sent) > 1000; }));
+    uint8_t frame[13];
+    PutU32(frame, 9);
+    PutU32(frame + 4, sim::kPing);
+    PutU32(frame + 8, 2);
+    frame[12] = 'x';
+    ASSERT_EQ(::send(fd, frame, sizeof(frame), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(frame)));
+
+    if (stopped.get_future().wait_for(kWatchdog) !=
+        std::future_status::ready) {
+      ++hung;
+      // Rescue: stopping the poller runs the stranded task inline.
+      poller.Stop();
+    }
+    stopper.join();
+    done.store(true);
+    sender.join();
+    b.Stop();
+    poller.Stop();
+    reader.join();
+    ::close(fd);
+  }
+  EXPECT_EQ(hung, 0) << hung << " of " << kRounds
+                     << " NodeNet::Stop calls lost their RunSync wakeup";
 }
 
 }  // namespace

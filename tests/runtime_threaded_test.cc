@@ -3,8 +3,13 @@
 // TCP variant, real sockets with every message round-tripped through the
 // wire codec — driven closed-loop until well over a thousand
 // multi-partition transactions commit, then certified with the same
-// serializability checker the simulator's chaos harness uses.
+// serializability checker the simulator's chaos harness uses — plus the
+// worker-pool contract on minimal endpoints: worker count, per-node
+// exclusivity and pinning, per-sender FIFO, and kill/restart epochs.
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -22,6 +27,8 @@
 #include "common/rng.h"
 #include "common/topology.h"
 #include "harness/rt_cluster.h"
+#include "runtime/threaded.h"
+#include "sim/message.h"
 #include "test_util.h"
 
 namespace carousel::test {
@@ -295,6 +302,273 @@ TEST(ThreadedRuntimeSmoke, TwoTcpClustersCoexistOnOsAssignedPorts) {
     EXPECT_GE(dep.board->committed.load(), kSmallTarget);
   }
   for (int d = 0; d < 2; ++d) deployments[d].cluster->Stop();
+}
+
+// ---------------------------------------------------------------------------
+// The M:N contract, on minimal endpoints: a runtime with more nodes than
+// workers, so some nodes share a worker and (with two or more CPUs) others
+// do not.
+// ---------------------------------------------------------------------------
+
+size_t AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return static_cast<size_t>(CPU_COUNT(&set));
+}
+
+struct SeqMsg final : sim::Message {
+  explicit SeqMsg(uint64_t seq) : seq(seq) {}
+  uint64_t seq;
+  int type() const override { return sim::kPing; }
+  size_t SizeBytes() const override { return sizeof(seq); }
+};
+
+// Checks, from inside every handler, task and timer of one node, that no
+// other code of that node is running and that it always runs on the same
+// thread. Fields other than the atomics are touched only inside those
+// sections, so an overlap would also be a data race under TSan.
+struct Exclusivity {
+  std::atomic<bool> busy{false};
+  std::atomic<int> overlaps{0};
+  std::thread::id thread;
+  int migrations = 0;
+
+  struct Section {
+    explicit Section(Exclusivity* e) : e(e) {
+      if (e->busy.exchange(true)) e->overlaps.fetch_add(1);
+      const std::thread::id me = std::this_thread::get_id();
+      if (e->thread == std::thread::id()) {
+        e->thread = me;
+      } else if (e->thread != me) {
+        e->migrations++;
+      }
+    }
+    ~Section() { e->busy.store(false); }
+    Exclusivity* e;
+  };
+};
+
+// Sends sequence number r to every other node in round r, alternating
+// between a posted task and a zero-delay timer to reach the next round, and
+// checks that each sender's numbers arrive in order.
+struct FloodNode final : runtime::Endpoint {
+  FloodNode(NodeId id, size_t nodes, uint64_t rounds)
+      : Endpoint(id, /*dc=*/0), nodes(nodes), rounds(rounds), next(nodes, 0) {}
+
+  void HandleMessage(NodeId from, const runtime::MessagePtr& msg) override {
+    Exclusivity::Section section(&exclusive);
+    const uint64_t seq = static_cast<const SeqMsg&>(*msg).seq;
+    if (seq != next[from]) out_of_order++;
+    next[from] = seq + 1;
+    received.fetch_add(1);
+  }
+
+  void Round(uint64_t r) {
+    Exclusivity::Section section(&exclusive);
+    for (NodeId peer = 0; peer < static_cast<NodeId>(nodes); ++peer) {
+      if (peer != id()) Send(peer, std::make_shared<SeqMsg>(r));
+    }
+    if (r + 1 == rounds) return;
+    if (r % 2 == 0) {
+      loop->Post([this, r]() { Round(r + 1); });
+    } else {
+      Schedule(0, [this, r]() { Round(r + 1); });
+    }
+  }
+
+  const size_t nodes;
+  const uint64_t rounds;
+  runtime::EventLoop* loop = nullptr;
+  Exclusivity exclusive;
+  std::vector<uint64_t> next;
+  int out_of_order = 0;
+  std::atomic<uint64_t> received{0};
+};
+
+TEST(ThreadedRuntimeWorkers, CountIsMinOfNodesAndAffinityCpus) {
+  const size_t cpus = AffinityCpus();
+  for (size_t nodes : {size_t{1}, cpus, cpus + 1, 3 * cpus + 2}) {
+    runtime::ThreadedRuntime rt(nodes, {});
+    EXPECT_EQ(rt.num_workers(), std::min(nodes, cpus)) << nodes << " nodes";
+  }
+  // The count follows the affinity mask (as under taskset), not the number
+  // of online CPUs.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  {
+    runtime::ThreadedRuntime rt(3 * cpus + 2, {});
+    EXPECT_EQ(rt.num_workers(), 1u);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+}
+
+TEST(ThreadedRuntimeWorkers, FloodKeepsPerSenderFifoAndNodeExclusivity) {
+  const size_t workers = AffinityCpus();
+  const size_t nodes = workers + 3;  // Workers 0..2 serve two nodes each.
+  constexpr uint64_t kRounds = 200;
+  std::vector<std::unique_ptr<FloodNode>> eps;  // Outlive the runtime.
+  runtime::ThreadedRuntime rt(nodes, {});
+  ASSERT_EQ(rt.num_workers(), std::min(nodes, workers));
+  for (size_t i = 0; i < nodes; ++i) {
+    eps.push_back(
+        std::make_unique<FloodNode>(static_cast<NodeId>(i), nodes, kRounds));
+    eps.back()->loop = rt.loop(static_cast<NodeId>(i));
+    rt.Register(eps.back().get());
+  }
+  ASSERT_TRUE(rt.Start());
+  for (auto& ep : eps) {
+    FloodNode* node = ep.get();
+    rt.loop(node->id())->Post([node]() { node->Round(0); });
+  }
+  const uint64_t want = (nodes - 1) * kRounds;
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        for (auto& ep : eps) {
+          if (ep->received.load() < want) return false;
+        }
+        return true;
+      },
+      std::chrono::seconds(120)));
+  rt.Stop();
+
+  EXPECT_EQ(rt.dropped_messages(), 0u);
+  for (size_t i = 0; i < nodes; ++i) {
+    const FloodNode& node = *eps[i];
+    EXPECT_EQ(node.received.load(), want) << "node " << i;
+    EXPECT_EQ(node.out_of_order, 0) << "node " << i;
+    EXPECT_EQ(node.exclusive.overlaps.load(), 0) << "node " << i;
+    EXPECT_EQ(node.exclusive.migrations, 0) << "node " << i;
+    // Pinned: node i runs on worker i mod W, one thread per worker.
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(node.exclusive.thread == eps[j]->exclusive.thread,
+                i % rt.num_workers() == j % rt.num_workers())
+          << "nodes " << j << " and " << i;
+    }
+  }
+}
+
+// Counts everything a node runs. Tasks and timers hold the tally, not the
+// endpoint, so a victim's work can be counted after its endpoint is gone.
+struct Tally {
+  std::atomic<uint64_t> handled{0};
+  std::atomic<uint64_t> tasks{0};
+  std::atomic<uint64_t> timers{0};
+
+  uint64_t total() const { return handled + tasks + timers; }
+};
+
+// Keeps its worker busy: a self-reposting task chain, a 200 us timer
+// chain, and on every timer a message to each node in `targets`.
+struct BusyNode final : runtime::Endpoint {
+  BusyNode(NodeId id, runtime::EventLoop* loop, std::vector<NodeId> targets)
+      : Endpoint(id, /*dc=*/0), loop(loop), targets(std::move(targets)) {}
+
+  void HandleMessage(NodeId, const runtime::MessagePtr&) override {
+    tally->handled.fetch_add(1);
+  }
+
+  void Kick() {
+    PostChain(loop, tally);
+    TimerChain();
+  }
+
+  static void PostChain(runtime::EventLoop* loop, std::shared_ptr<Tally> t) {
+    t->tasks.fetch_add(1);
+    loop->Post([loop, t]() { PostChain(loop, t); });
+  }
+
+  void TimerChain() {
+    tally->timers.fetch_add(1);
+    for (NodeId to : targets) Send(to, std::make_shared<SeqMsg>(0));
+    Schedule(200, [this]() { TimerChain(); });
+  }
+
+  runtime::EventLoop* loop;
+  std::vector<NodeId> targets;
+  std::shared_ptr<Tally> tally = std::make_shared<Tally>();
+};
+
+TEST(ThreadedRuntimeWorkers, StopNodeSilencesOnlyTheVictimAndRestartDropsDeadWork) {
+  const size_t workers = AffinityCpus();
+  const size_t nodes = workers + 2;
+  std::vector<std::unique_ptr<BusyNode>> eps;  // Outlive the runtime.
+  runtime::ThreadedRuntime rt(nodes, {});
+  const NodeId victim = 0;
+  const NodeId mate = static_cast<NodeId>(rt.num_workers());  // Same worker.
+  ASSERT_LT(static_cast<size_t>(mate), nodes);
+
+  // Every node floods the victim and its worker mate.
+  for (size_t i = 0; i < nodes; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
+    std::vector<NodeId> targets;
+    if (id != victim) targets.push_back(victim);
+    if (id != mate) targets.push_back(mate);
+    eps.push_back(std::make_unique<BusyNode>(id, rt.loop(id), targets));
+    rt.Register(eps.back().get());
+  }
+  ASSERT_TRUE(rt.Start());
+  for (auto& ep : eps) {
+    BusyNode* node = ep.get();
+    rt.loop(node->id())->Post([node]() { node->Kick(); });
+  }
+  const std::shared_ptr<Tally> old_life = eps[victim]->tally;
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        return old_life->handled > 50 && old_life->tasks > 50 &&
+               old_life->timers > 20;
+      },
+      std::chrono::seconds(60)));
+
+  // The kill, as RtCluster::KillServer does it: stop, then destroy the
+  // endpoint at once. From here on no code of the victim may run.
+  rt.StopNode(victim);
+  const uint64_t ran_at_stop = old_life->total();
+  eps[victim].reset();
+  EXPECT_TRUE(rt.node_stopped(victim));
+
+  // Messages to the dead node are counted drops, and its worker mate keeps
+  // serving.
+  const uint64_t dropped_at_stop = rt.loop(victim)->dropped_messages();
+  const uint64_t mate_handled = eps[mate]->tally->handled;
+  EXPECT_TRUE(PollUntil(
+      [&] {
+        return rt.loop(victim)->dropped_messages() > dropped_at_stop + 50 &&
+               eps[mate]->tally->handled > mate_handled + 50;
+      },
+      std::chrono::seconds(60)));
+
+  // Work posted to the dead node must never run, not even after the
+  // restart: one task, one timer due at once and one due after the
+  // restart (which the reborn node's 100 timer ticks outlast).
+  auto dead_ran = std::make_shared<std::atomic<int>>(0);
+  runtime::EventLoop* loop = rt.loop(victim);
+  loop->Post([dead_ran]() { dead_ran->fetch_add(1); });
+  loop->Schedule(0, [dead_ran]() { dead_ran->fetch_add(1); });
+  loop->Schedule(20'000, [dead_ran]() { dead_ran->fetch_add(1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(old_life->total(), ran_at_stop)
+      << "the victim ran code after StopNode returned";
+
+  std::vector<NodeId> targets = {mate};
+  eps[victim] = std::make_unique<BusyNode>(victim, loop, targets);
+  BusyNode* reborn = eps[victim].get();
+  rt.RestartNode(reborn);
+  EXPECT_FALSE(rt.node_stopped(victim));
+  loop->Post([reborn]() { reborn->Kick(); });
+  EXPECT_TRUE(PollUntil(
+      [&] { return reborn->tally->handled > 50 && reborn->tally->timers > 100; },
+      std::chrono::seconds(60)));
+  rt.Stop();
+
+  EXPECT_EQ(dead_ran->load(), 0) << "work posted while dead ran";
+  EXPECT_EQ(old_life->total(), ran_at_stop);
 }
 
 }  // namespace

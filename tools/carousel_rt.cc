@@ -1,11 +1,14 @@
 // carousel_rt — real-time experiment driver on the threaded runtime.
 //
 // Boots a full Carousel deployment on the threaded backend of the runtime
-// seam (one event-loop thread per node; optionally localhost TCP with the
-// wire codec) and drives it closed-loop with a workload mix, printing
-// committed/aborted counts and wall-clock latency percentiles. Unlike
-// carousel_sim this measures the implementation on real threads and
-// sockets, so numbers vary run to run with the machine. Examples:
+// seam (every node's event loop on a pool of one worker thread per CPU in
+// the affinity mask; optionally localhost TCP with the wire codec) and
+// drives it closed-loop with a workload mix, printing committed/aborted
+// counts, wall-clock latency percentiles, and the process's CPU time and
+// context switches per committed transaction over the load phase
+// (getrusage deltas). Unlike carousel_sim this measures the
+// implementation on real threads and sockets, so numbers vary run to run
+// with the machine. Examples:
 //
 //   carousel_rt --transport=inproc --txns=5000
 //   carousel_rt --transport=tcp --workload=ycsbt --dcs=3 --partitions=5
@@ -54,6 +57,28 @@
 namespace {
 
 using namespace carousel;
+
+// Process CPU time and context switches (voluntary + involuntary), for
+// deltas over the load phase.
+struct Usage {
+  double cpu_us = 0;
+  double ctx_switches = 0;
+
+  Usage operator-(const Usage& o) const {
+    return {cpu_us - o.cpu_us, ctx_switches - o.ctx_switches};
+  }
+};
+
+Usage ReadUsage() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  const auto us = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e6 +
+           static_cast<double>(tv.tv_usec);
+  };
+  return {us(ru.ru_utime) + us(ru.ru_stime),
+          static_cast<double>(ru.ru_nvcsw + ru.ru_nivcsw)};
+}
 
 struct Args {
   std::string transport = "inproc";
@@ -115,7 +140,7 @@ bool ParseArg(const std::string& arg, Args* out) {
   return true;
 }
 
-// Counters shared across all client loop threads.
+// Counters shared across all client loops.
 struct Scoreboard {
   std::atomic<int> committed{0};
   std::atomic<int> aborted{0};
@@ -125,7 +150,7 @@ struct Scoreboard {
 
 // A closed-loop driver pinned to one client's event loop: each completion
 // callback starts the next transaction, so everything after the kickoff
-// Post runs on the client's own thread (the latency histogram needs no
+// Post runs on the client's own loop (the latency histogram needs no
 // lock until the final merge, which happens after Stop()).
 struct Driver : std::enable_shared_from_this<Driver> {
   Driver(harness::RtCluster* cluster, int index,
@@ -259,7 +284,7 @@ int main(int argc, char** argv) {
   wopts.zipf_theta = args.zipf;
   const int num_clients = static_cast<int>(cluster.num_clients());
   auto board = std::make_shared<Scoreboard>();
-  // One generator per driver: each runs on its own loop thread.
+  // One generator per driver: each runs on its own client's loop.
   std::vector<std::unique_ptr<workload::Generator>> generators;
   std::vector<std::shared_ptr<Driver>> drivers;
   Rng seeder(args.seed);
@@ -272,10 +297,11 @@ int main(int argc, char** argv) {
                                                args.txns, seeder.NextU64()));
   }
 
-  // Each chain is an independent closed loop on its client's thread;
+  // Each chain is an independent closed loop on its client's loop;
   // pipeline > 1 keeps that many transactions in flight per client.
   const int pipeline = args.pipeline < 1 ? 1 : args.pipeline;
   const int total_chains = num_clients * pipeline;
+  const Usage usage_start = ReadUsage();
   const auto bench_start = std::chrono::steady_clock::now();
   for (int i = 0; i < num_clients; ++i) {
     auto driver = drivers[i];
@@ -295,16 +321,10 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     bench_start)
           .count();
+  const Usage load = ReadUsage() - usage_start;
   const bool finished = board->done_clients.load() == total_chains;
   const runtime::TransportStats net = cluster.transport_stats();
   cluster.Stop();
-
-  if (std::getenv("CAROUSEL_NET_DEBUG") != nullptr) {
-    rusage ru{};
-    ::getrusage(RUSAGE_SELF, &ru);
-    std::fprintf(stderr, "rusage: nvcsw=%ld nivcsw=%ld\n", ru.ru_nvcsw,
-                 ru.ru_nivcsw);
-  }
 
   Histogram latency;
   for (auto& driver : drivers) latency.Merge(driver->latency);
@@ -313,6 +333,10 @@ int main(int argc, char** argv) {
   const int aborted = board->aborted.load();
   const int timed_out = board->timed_out.load();
   const double tps = wall_s > 0 ? committed / wall_s : 0;
+  const double per_txn = committed > 0 ? 1.0 / committed : 0.0;
+  const double cpu_us_per_txn = load.cpu_us * per_txn;
+  const double ctx_switches_per_txn = load.ctx_switches * per_txn;
+  const size_t workers = cluster.rt().num_workers();
   if (!finished) {
     std::fprintf(stderr,
                  "timed out after %.0fs with %d/%d committed transactions\n",
@@ -329,6 +353,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(latency.Quantile(0.90)),
               static_cast<long long>(latency.Quantile(0.95)),
               static_cast<long long>(latency.Quantile(0.99)));
+  std::printf("cpu: %.0f us per committed txn, %.1f context switches per "
+              "committed txn, %zu workers\n",
+              cpu_us_per_txn, ctx_switches_per_txn, workers);
   if (use_tcp) {
     std::printf("transport: frames sent %llu (%.2f per sendmsg, %llu "
                 "syscalls, %llu eagain), received %llu, %.1f MB, "
@@ -384,7 +411,10 @@ int main(int argc, char** argv) {
         "        \"p50_us\": %lld,\n"
         "        \"p90_us\": %lld,\n"
         "        \"p95_us\": %lld,\n"
-        "        \"p99_us\": %lld\n"
+        "        \"p99_us\": %lld,\n"
+        "        \"cpu_us_per_txn\": %.1f,\n"
+        "        \"ctx_switches_per_txn\": %.2f,\n"
+        "        \"workers\": %zu\n"
         "      }\n"
         "    }\n"
         "  ]\n"
@@ -401,7 +431,8 @@ int main(int argc, char** argv) {
         static_cast<long long>(latency.Quantile(0.50)),
         static_cast<long long>(latency.Quantile(0.90)),
         static_cast<long long>(latency.Quantile(0.95)),
-        static_cast<long long>(latency.Quantile(0.99)));
+        static_cast<long long>(latency.Quantile(0.99)), cpu_us_per_txn,
+        ctx_switches_per_txn, workers);
     std::fclose(f);
     std::printf("wrote %s\n", args.json_path.c_str());
   }
